@@ -196,17 +196,8 @@ def cmd_mass(args):
     k = int(mass_cfg.get("k", cfg.get("metric", {}).get("k", 2)))
     if which is None:
         which = {1: "adm", 2: "gbc"}.get(k, "mk")
-    if which == "adm":
-        est = massmod.adm_mass(g, radii, rule)
-    elif which == "gbc":
-        est = massmod.gbc_mass(g, radii, rule)
-    elif which == "mk":
-        est = massmod.mk_mass(k, g, radii, rule)
-    elif which == "egb":
-        alpha = float(cfg.get("alpha", cfg.get("metric", {}).get("alpha", 0.0)))
-        est = massmod.egb_mass(g, alpha, radii, rule)
-    else:
-        raise ValueError(f"unknown mass kind {which!r}")
+    alpha = float(cfg.get("alpha", cfg.get("metric", {}).get("alpha", 0.0)))
+    est = massmod.mass(which, g, radii, rule, k=k, alpha=alpha)
     doc = massmod.mass_estimate_dict(est)
     doc["metric"] = g.name
     doc["quad_level"] = rule.level
@@ -224,10 +215,11 @@ def cmd_flux(args):
     radii = _radii(mass_cfg)
     rule = _rule_from(cfg, g.n)
     k = int(mass_cfg.get("k", cfg.get("metric", {}).get("k", 2)))
-    vals = [massmod.mk_flux(k, g, r, rule) for r in radii]
-    lines = [f"# integrand=m{k} n={g.n} k={k}", "r,flux"]
-    lines += [f"{float(r)!r},{float(v)!r}" for r, v in zip(radii, vals)]
-    text = "\n".join(lines) + "\n"
+    series = massmod.FluxSeries(
+        radii=radii, flux=np.array([massmod.flux("mk", g, r, rule, k=k)
+                                    for r in radii]),
+        integrand_id=f"m{k} n={g.n} k={k}")
+    text = massmod.flux_series_csv(series)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(text)
@@ -265,8 +257,9 @@ def _suite_sigma2(n, rng):
                                       [0.6, 0.5], [1.3, 1.9])
     pts = rng.normal(size=(25, n)) * 1.5
     g = f.metric
-    L2 = curvature.lovelock_L(2, g, pts)
-    w2, s2 = curvature.weyl_sigma2_split(g, pts)
+    bund = curvature.riemann(g, pts)
+    L2 = curvature.lovelock_L(2, g, pts, bund=bund)
+    w2, s2 = curvature.weyl_sigma2_split(g, pts, bund=bund)
     scale = 1.0 + float(np.abs(L2).max())
     res = float(np.abs(L2 - (w2 + 8.0 * (n - 2) * (n - 3) * s2)).max()) / scale
     return [("weyl-sigma2-split", res, 1e-9)]

@@ -11,13 +11,11 @@ Gauss-Bonnet curvatures L_k, the divergence-free curvature 2-tensors
 E^(k), and the rank-4 flux tensors P_(k).
 
 All operations are batched over points; a CurvatureBundle holds the
-arrays for one batch and is cached per (metric, batch) so that flux
-integrands can share it.
+arrays for one batch, and callers that need several curvature objects
+on the same batch compute it once and pass it on with bund=.
 """
 
-import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,10 +27,7 @@ from . import metrics as _metrics
 
 __all__ = [
     "CurvatureBundle",
-    "Rank4Field",
-    "christoffel",
     "riemann",
-    "bundle",
     "lovelock_L",
     "gauss_bonnet_L2_direct",
     "p_tensor",
@@ -71,23 +66,11 @@ class CurvatureBundle:
     scalar: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
-class Rank4Field:
-    """A contravariant rank-4 tensor batch with Riemann-type symmetries."""
-
-    components: np.ndarray
-    symmetry_class: str = "riemann-type"
-
-
 def _as_batch(x):
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         return pts[None, :], True
     return pts, False
-
-
-_cache: OrderedDict = OrderedDict()
-_CACHE_SLOTS = 8
 
 
 def _christoffel_arrays(g, pts):
@@ -106,22 +89,9 @@ def _christoffel_arrays(g, pts):
     return gv, ginv, dg, gamma, dgamma
 
 
-def christoffel(g, x):
-    """Partial bundle: metric, Christoffels and their first derivatives."""
-    pts, single = _as_batch(x)
-    gv, ginv, dg, gamma, dgamma = _christoffel_arrays(g, pts)
-    return CurvatureBundle(x=pts, n=g.n, g=gv, ginv=ginv, dg=dg,
-                           gamma=gamma, dgamma=dgamma)
-
-
 def riemann(g, x):
-    """Full curvature bundle at a batch of points (cached)."""
+    """Full curvature bundle at a batch of points."""
     pts, single = _as_batch(x)
-    key = (id(g), pts.shape, pts.tobytes())
-    hit = _cache.get(key)
-    if hit is not None:
-        _cache.move_to_end(key)
-        return hit
     gv, ginv, dg, gamma, dgamma = _christoffel_arrays(g, pts)
     # R^m_{ijk} = d_i Gamma^m_jk - d_j Gamma^m_ik + Gamma Gamma terms
     r_updown = (np.einsum('xmjki->xmijk', dgamma)
@@ -133,17 +103,10 @@ def riemann(g, x):
     riemann_hi = np.einsum('xabcd,xae,xbf->xefcd', riemann_mix, ginv, ginv)
     ricci = np.einsum('xjl,xijkl->xik', ginv, riemann_lo)
     scalar = np.einsum('xik,xik->x', ginv, ricci)
-    out = CurvatureBundle(x=pts, n=g.n, g=gv, ginv=ginv, dg=dg,
-                          gamma=gamma, dgamma=dgamma,
-                          riemann_lo=riemann_lo, riemann_mix=riemann_mix,
-                          riemann_hi=riemann_hi, ricci=ricci, scalar=scalar)
-    _cache[key] = out
-    while len(_cache) > _CACHE_SLOTS:
-        _cache.popitem(last=False)
-    return out
-
-
-bundle = riemann
+    return CurvatureBundle(x=pts, n=g.n, g=gv, ginv=ginv, dg=dg,
+                           gamma=gamma, dgamma=dgamma,
+                           riemann_lo=riemann_lo, riemann_mix=riemann_mix,
+                           riemann_hi=riemann_hi, ricci=ricci, scalar=scalar)
 
 
 def _gathered_products(table, rmix):
@@ -201,6 +164,7 @@ def gauss_bonnet_L2_direct(g, x, bund=None):
 def p_tensor(g, x, bund=None):
     """The rank-4 flux tensor entering the second-order mass integrand.
 
+    Returns the array P[..., i, j, k, l] = P^{ijkl} with
     P^{ijkl} = R^{ijkl} + R^{jk} g^{il} - R^{jl} g^{ik} - R^{ik} g^{jl}
                + R^{il} g^{jk} + (R/2)(g^{ik} g^{jl} - g^{il} g^{jk}).
     """
@@ -218,23 +182,22 @@ def p_tensor(g, x, bund=None):
          + 0.5 * R[:, None, None, None, None]
          * (np.einsum('xik,xjl->xijkl', ginv, ginv)
             - np.einsum('xil,xjk->xijkl', ginv, ginv)))
-    if single:
-        P = P[0]
-    return Rank4Field(components=P)
+    return P[0] if single else P
 
 
 def p_tensor_general(k, g, x, bund=None):
     """The order-k rank-4 flux tensor P_(k) via the delta-contraction table.
 
     P_(1)^{ijlm} = (g^{il} g^{jm} - g^{im} g^{jl}) / 2; P_(2) agrees with
-    p_tensor.  Returns a zero field with a warning when 2k > n.
+    p_tensor.  Returns the array P[..., i, j, l, m] = P_(k)^{ijlm}, all
+    zeros with a warning when 2k > n.
     """
     pts, single = _as_batch(x)
     n = g.n
     if 2 * k > n:
         warnings.warn(f"P_({k}) vanishes identically for 2k > n = {n}")
         Z = np.zeros((len(pts), n, n, n, n))
-        return Rank4Field(components=Z[0] if single else Z)
+        return Z[0] if single else Z
     if bund is None:
         bund = riemann(g, pts)
     table = p_tensor_table(n, k)
@@ -249,9 +212,7 @@ def p_tensor_general(k, g, x, bund=None):
         C[lo:hi, gi[:, 0], gi[:, 1], gi[:, 2], gi[:, 3]] = sums
     C = C - C.transpose(0, 2, 1, 3, 4)
     P = table.constant * np.einsum('xstab,xal,xbm->xstlm', C, ginv, ginv)
-    if single:
-        P = P[0]
-    return Rank4Field(components=P)
+    return P[0] if single else P
 
 
 def lovelock_einstein(k, g, x, bund=None):
@@ -325,17 +286,10 @@ def divergence_of_P(k, g, x):
     not an exact zero.
     """
     pts, single = _as_batch(x)
-    n = g.n
-    h = _metrics.fd_step_second(pts)
-    dP = np.empty((len(pts), n, n, n, n, n))
-    for idir in range(n):
-        step = np.zeros_like(pts)
-        step[:, idir] = h
-        Pp = p_tensor_general(k, g, pts + step).components
-        Pm = p_tensor_general(k, g, pts - step).components
-        dP[..., idir] = (Pp - Pm) / (2.0 * h)[:, None, None, None, None]
+    dP = _metrics.central_difference(lambda p: p_tensor_general(k, g, p),
+                                     pts, _metrics.fd_step_second(pts))
     bund = riemann(g, pts)
-    P = p_tensor_general(k, g, pts, bund=bund).components
+    P = p_tensor_general(k, g, pts, bund=bund)
     gamma = bund.gamma
     div = (np.einsum('xijkli->xjkl', dP)
            + np.einsum('xiis,xsjkl->xjkl', gamma, P)

@@ -11,8 +11,7 @@ Penrose-type comparisons.
 """
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -20,7 +19,7 @@ import numpy as np
 import sympy as sp
 
 from . import curvature, mass as _mass, metrics, quadrature
-from .metrics import RadialProfile, _scalar_radial_derivatives
+from .metrics import RadialProfile
 
 __all__ = [
     "GraphFunction",
@@ -279,7 +278,7 @@ def graph_L2(f, x):
     single = np.asarray(x).ndim == 1
     g = f.metric
     bund = curvature.riemann(g, pts)
-    P = curvature.p_tensor(g, pts, bund=bund).components
+    P = curvature.p_tensor(g, pts, bund=bund)
     d2f = f.hess(pts)
     df = f.grad(pts)
     denom = 1.0 + np.einsum('xi,xi->x', df, df)
@@ -294,19 +293,15 @@ def graph_divergence_identity_residual(f, x):
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     single = np.asarray(x).ndim == 1
     g = f.metric
-    n = f.n
 
     def Q(p):
         bund = curvature.riemann(g, p)
-        P = curvature.p_tensor(g, p, bund=bund).components
+        P = curvature.p_tensor(g, p, bund=bund)
         return np.einsum('xijml,xjml->xi', P, bund.dg)
 
-    h = metrics.fd_step_second(pts)
-    div = np.zeros(len(pts))
-    for idir in range(n):
-        step = np.zeros_like(pts)
-        step[:, idir] = h
-        div += (Q(pts + step)[:, idir] - Q(pts - step)[:, idir]) / (2.0 * h)
+    dQ = metrics.central_difference(Q, pts, metrics.fd_step_second(pts))
+    # left-to-right sum over the diagonal, not np.trace, to keep its rounding
+    div = sum(dQ[:, i, i] for i in range(f.n))
     out = np.abs(div - 0.5 * curvature.lovelock_L(2, g, pts))
     return out[0] if single else out
 
@@ -492,9 +487,9 @@ def horizon_boundary_term(f, sigma, rule):
     H_3 is taken with respect to flat R^n; f only fixes the ambient
     dimension and may be None for a bare-surface evaluation.
     """
-    n = sigma.n if f is None else f.n
     if sigma is None:
         raise ValueError("horizon surface required")
+    n = sigma.n if f is None else f.n
     return _mass.c2_constant(n) * 3.0 * quermassintegral(sigma, 3, rule)
 
 

@@ -18,11 +18,9 @@ choice is reported.
 
 import csv
 import io
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -36,6 +34,8 @@ __all__ = [
     "ck_constant",
     "default_radii",
     "default_level",
+    "flux",
+    "mass",
     "adm_flux",
     "adm_mass",
     "gbc_flux",
@@ -53,6 +53,7 @@ __all__ = [
 
 # curvature bundles per chunk of this many sphere nodes
 _CHUNK = 2048
+_KINDS = ("adm", "gbc", "mk", "egb")
 
 
 def c2_constant(n):
@@ -122,72 +123,120 @@ def _chunked(fun, pts, chunk=_CHUNK):
     return out
 
 
-def _adm_integrand(g, r):
-    def F(pts):
-        def piece(p):
-            dg = g.eval_dg(p)
-            nu = p / r
-            return (np.einsum('xiji,xj->x', dg, nu)
-                    - np.einsum('xiij,xj->x', dg, nu))
-        return _chunked(piece, pts)
-    return F
+def _check_kind(kind):
+    if kind not in _KINDS:
+        raise ValueError(f"unknown mass kind {kind!r}")
 
 
-def adm_flux(g, r, rule=None):
-    """Normalized first-order flux through the sphere of radius r."""
+def _adm_density(dg, nu):
+    """(g_ij,i - g_ii,j) nu_j at each node."""
+    return (np.einsum('xiji,xj->x', dg, nu)
+            - np.einsum('xiij,xj->x', dg, nu))
+
+
+def _integrand(kind, g, r, k, alpha):
+    """Batched flux integrand of one mass kind on the sphere of radius r.
+
+    Each chunk builds one curvature bundle and shares it between the
+    flux tensor and the metric derivatives.
+    """
+    def piece(p):
+        nu = p / r
+        if kind == "adm":
+            return _adm_density(g.eval_dg(p), nu)
+        bund = curvature.riemann(g, p)
+        if kind == "mk":
+            P = curvature.p_tensor_general(k, g, p, bund=bund)
+        else:
+            P = curvature.p_tensor(g, p, bund=bund)
+        pk = np.einsum('xijml,xjml,xi->x', P, bund.dg, nu)
+        if kind == "egb":
+            return _adm_density(bund.dg, nu) + 2.0 * alpha * pk
+        return pk
+
+    chunk = 512 if kind == "mk" and k > 2 else _CHUNK
+    return lambda pts: _chunked(piece, pts, chunk=chunk)
+
+
+def flux(kind, g, r, rule=None, *, k=2, alpha=0.0):
+    """Normalized flux of one mass kind through the sphere of radius r.
+
+    kind is "adm", "gbc" (second order), "mk" (order k) or "egb"
+    (first order plus 2 alpha times the second-order integrand).
+    """
+    _check_kind(kind)
     rule = _rule_for(g, rule)
+    raw = quadrature.surface_integral(_integrand(kind, g, r, k, alpha),
+                                      r, rule)
     n = g.n
-    raw = quadrature.surface_integral(_adm_integrand(g, r), r, rule)
+    if kind == "gbc":
+        return c2_constant(n) * raw
+    if kind == "mk":
+        return ck_constant(n, k) * raw
     return raw / (2.0 * (n - 1) * quadrature.sphere_volume(n))
 
 
-def _pk_contraction(g, r, k, general):
-    def F(pts):
-        def piece(p):
-            bund = curvature.riemann(g, p)
-            if general:
-                P = curvature.p_tensor_general(k, g, p, bund=bund).components
-            else:
-                P = curvature.p_tensor(g, p, bund=bund).components
-            nu = p / r
-            return np.einsum('xijml,xjml,xi->x', P, bund.dg, nu)
-        return _chunked(piece, pts, chunk=_CHUNK if k <= 2 else 512)
-    return F
+def mass(kind, g, radii=None, rule=None, *, k=2, alpha=0.0):
+    """Extrapolated mass of one kind (see flux) on a radius schedule.
+
+    The second-order mass is defined for n >= 5; in n = 4 the
+    normalization degenerates and the flux limit vanishes identically,
+    so 0 is returned with a warning.  The order-k mass needs
+    1 <= k < n/2.
+    """
+    _check_kind(kind)
+    n = g.n
+    if kind == "gbc" and n == 4:
+        warnings.warn("the second-order mass vanishes identically in n=4")
+        radii = default_radii() if radii is None else np.asarray(radii, float)
+        samples = FluxSeries(radii=radii, flux=np.zeros(len(radii)),
+                             integrand_id="gbc[n=4]")
+        return MassEstimate(value=0.0, fit_exponent=float("inf"),
+                            residual=0.0, samples=samples, model="degenerate")
+    if kind == "mk" and not 1 <= k < n / 2:
+        raise ValueError(f"require 1 <= k < n/2, got k={k}, n={n}")
+    radii = default_radii() if radii is None else radii
+    rule = _rule_for(g, rule)
+    integrand_id = {"adm": f"adm[n={n}]", "gbc": f"gbc[n={n}]",
+                    "mk": f"m{k}[n={n}]",
+                    "egb": f"egb[n={n},alpha={alpha}]"}[kind]
+    return extrapolate_limit(_series(
+        lambda r: flux(kind, g, r, rule, k=k, alpha=alpha), radii,
+        integrand_id))
+
+
+# the per-kind names of flux and mass
+
+def adm_flux(g, r, rule=None):
+    return flux("adm", g, r, rule)
 
 
 def gbc_flux(g, r, rule=None):
-    """Normalized second-order flux through the sphere of radius r."""
-    rule = _rule_for(g, rule)
-    raw = quadrature.surface_integral(_pk_contraction(g, r, 2, False), r, rule)
-    return c2_constant(g.n) * raw
+    return flux("gbc", g, r, rule)
 
 
 def mk_flux(k, g, r, rule=None):
-    """Normalized order-k flux through the sphere of radius r."""
-    rule = _rule_for(g, rule)
-    raw = quadrature.surface_integral(_pk_contraction(g, r, k, True), r, rule)
-    return ck_constant(g.n, k) * raw
+    return flux("mk", g, r, rule, k=k)
 
 
 def egb_flux(g, alpha, r, rule=None):
-    """Gauss-Bonnet-corrected first-order flux at radius r."""
-    rule = _rule_for(g, rule)
-    n = g.n
+    return flux("egb", g, r, rule, alpha=alpha)
 
-    def F(pts):
-        def piece(p):
-            bund = curvature.riemann(g, p)
-            P = curvature.p_tensor(g, p, bund=bund).components
-            nu = p / r
-            dg = bund.dg
-            admp = (np.einsum('xiji,xj->x', dg, nu)
-                    - np.einsum('xiij,xj->x', dg, nu))
-            gbp = np.einsum('xijml,xjml,xi->x', P, dg, nu)
-            return admp + 2.0 * alpha * gbp
-        return _chunked(piece, pts)
 
-    raw = quadrature.surface_integral(F, r, rule)
-    return raw / (2.0 * (n - 1) * quadrature.sphere_volume(n))
+def adm_mass(g, radii=None, rule=None):
+    return mass("adm", g, radii, rule)
+
+
+def gbc_mass(g, radii=None, rule=None):
+    return mass("gbc", g, radii, rule)
+
+
+def mk_mass(k, g, radii=None, rule=None):
+    return mass("mk", g, radii, rule, k=k)
+
+
+def egb_mass(g, alpha, radii=None, rule=None):
+    return mass("egb", g, radii, rule, alpha=alpha)
 
 
 def _series(fluxfun, radii, integrand_id):
@@ -196,51 +245,6 @@ def _series(fluxfun, radii, integrand_id):
         raise ValueError("need at least 4 radii for extrapolation")
     vals = np.array([fluxfun(r) for r in radii])
     return FluxSeries(radii=radii, flux=vals, integrand_id=integrand_id)
-
-
-def adm_mass(g, radii=None, rule=None):
-    """Extrapolated first-order (ADM) mass."""
-    radii = default_radii() if radii is None else radii
-    rule = _rule_for(g, rule)
-    return extrapolate_limit(_series(lambda r: adm_flux(g, r, rule), radii,
-                                     f"adm[n={g.n}]"))
-
-
-def gbc_mass(g, radii=None, rule=None):
-    """Extrapolated second-order (Gauss-Bonnet-Chern) mass.
-
-    Defined for n >= 5; in n = 4 the normalization degenerates and the
-    flux limit vanishes identically, so 0 is returned with a warning.
-    """
-    if g.n == 4:
-        warnings.warn("the second-order mass vanishes identically in n=4")
-        radii = default_radii() if radii is None else np.asarray(radii, float)
-        samples = FluxSeries(radii=radii, flux=np.zeros(len(radii)),
-                             integrand_id="gbc[n=4]")
-        return MassEstimate(value=0.0, fit_exponent=float("inf"),
-                            residual=0.0, samples=samples, model="degenerate")
-    radii = default_radii() if radii is None else radii
-    rule = _rule_for(g, rule)
-    return extrapolate_limit(_series(lambda r: gbc_flux(g, r, rule), radii,
-                                     f"gbc[n={g.n}]"))
-
-
-def mk_mass(k, g, radii=None, rule=None):
-    """Extrapolated order-k Lovelock-type mass (k=1 ADM-equivalent)."""
-    if not 1 <= k < g.n / 2:
-        raise ValueError(f"require 1 <= k < n/2, got k={k}, n={g.n}")
-    radii = default_radii() if radii is None else radii
-    rule = _rule_for(g, rule)
-    return extrapolate_limit(_series(lambda r: mk_flux(k, g, r, rule), radii,
-                                     f"m{k}[n={g.n}]"))
-
-
-def egb_mass(g, alpha, radii=None, rule=None):
-    """Extrapolated Gauss-Bonnet-corrected ADM mass."""
-    radii = default_radii() if radii is None else radii
-    rule = _rule_for(g, rule)
-    return extrapolate_limit(_series(lambda r: egb_flux(g, alpha, r, rule),
-                                     radii, f"egb[n={g.n},alpha={alpha}]"))
 
 
 def _fit_power_law(r, f):

@@ -13,8 +13,8 @@ index last (dg[..., i, j, k] = d_k g_ij), and so on through d3g with
 three trailing derivative indices.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import sympy as sp
@@ -41,6 +41,7 @@ __all__ = [
     "radial_decay_profile",
     "fd_step_first",
     "fd_step_second",
+    "central_difference",
 ]
 
 TAU_INFINITE = float("inf")
@@ -69,10 +70,33 @@ def _batch(x):
     return pts.reshape(-1, pts.shape[-1]), False
 
 
-def _unbatch(out, single, lead_shape=None):
-    if single:
-        return out[0]
-    return out
+def _unbatch(out, single):
+    return out[0] if single else out
+
+
+def central_difference(fun, pts, h):
+    """Partial derivatives of a batched evaluator by central differences.
+
+    Stacks (fun(x + h e_i) - fun(x - h e_i)) / (2h) over i on a new last
+    axis; pts has shape (B, n) and h one step per point.
+    """
+    cols = []
+    for i in range(pts.shape[-1]):
+        step = np.zeros_like(pts)
+        step[:, i] = h
+        diff = fun(pts + step) - fun(pts - step)
+        cols.append(diff / (2.0 * h).reshape((-1,) + (1,) * (diff.ndim - 1)))
+    return np.stack(cols, axis=-1)
+
+
+def _fd_derivative(fun):
+    """Evaluator of the next derivative of fun, central differences on
+    the wide step."""
+    def ev(x):
+        pts, single = _batch(x)
+        return _unbatch(central_difference(fun, pts, fd_step_second(pts)),
+                        single)
+    return ev
 
 
 @dataclass(frozen=True)
@@ -403,19 +427,8 @@ def graph_metric(f):
                + df[:, :, None, None, None] * d3f[:, None, :, :, :])
         return _unbatch(out, single)
 
-    def eval_d3g(x):
-        pts, single = _batch(x)
-        h = fd_step_second(pts)
-        out = np.empty((len(pts), n, n, n, n, n))
-        for mdir in range(n):
-            step = np.zeros_like(pts)
-            step[:, mdir] = h
-            out[..., mdir] = (eval_d2g(pts + step) - eval_d2g(pts - step)) \
-                / (2.0 * h)[:, None, None, None, None]
-        return _unbatch(out, single)
-
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
-                       eval_d2g=eval_d2g, eval_d3g=eval_d3g,
+                       eval_d2g=eval_d2g, eval_d3g=_fd_derivative(eval_d2g),
                        tau=getattr(f, "tau", np.nan),
                        derivative_provenance="analytic",
                        name=f"graph({getattr(f, 'name', 'f')})")
@@ -605,21 +618,8 @@ def _pushforward(g, c):
                + np.einsum('xia,xijs,xsc,xjb->xabc', J, dgv, J, J))
         return _unbatch(out, single)
 
-    def _fd_of(fun, extra):
-        def ev(x):
-            pts, single = _batch(x)
-            h = fd_step_second(pts)
-            out = np.empty((len(pts),) + (n,) * extra)
-            for mdir in range(n):
-                step = np.zeros_like(pts)
-                step[:, mdir] = h
-                diff = (fun(pts + step) - fun(pts - step))
-                out[..., mdir] = diff / (2.0 * h).reshape((-1,) + (1,) * (extra - 1))
-            return _unbatch(out, single)
-        return ev
-
-    eval_d2g = _fd_of(eval_dg, 4)
-    eval_d3g = _fd_of(eval_d2g, 5)
+    eval_d2g = _fd_derivative(eval_dg)
+    eval_d3g = _fd_derivative(eval_d2g)
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
                        eval_d2g=eval_d2g, eval_d3g=eval_d3g,
                        tau=g.tau, derivative_provenance="finite-difference",
@@ -634,33 +634,15 @@ def from_g_only(n, eval_g_batched, tau, name="fd-metric"):
     """
     def eval_dg(x):
         pts, single = _batch(x)
-        h = fd_step_first(pts)
-        out = np.empty((len(pts), n, n, n))
-        for k in range(n):
-            step = np.zeros_like(pts)
-            step[:, k] = h
-            out[..., k] = (eval_g_batched(pts + step) - eval_g_batched(pts - step)) \
-                / (2.0 * h)[:, None, None]
-        return _unbatch(out, single)
-
-    def _fd_of(fun, extra):
-        def ev(x):
-            pts, single = _batch(x)
-            h = fd_step_second(pts)
-            out = np.empty((len(pts),) + (n,) * extra)
-            for mdir in range(n):
-                step = np.zeros_like(pts)
-                step[:, mdir] = h
-                out[..., mdir] = (fun(pts + step) - fun(pts - step)) \
-                    / (2.0 * h).reshape((-1,) + (1,) * (extra - 1))
-            return _unbatch(out, single)
-        return ev
+        return _unbatch(central_difference(eval_g_batched, pts,
+                                           fd_step_first(pts)), single)
 
     def eval_g(x):
         pts, single = _batch(x)
         return _unbatch(eval_g_batched(pts), single)
 
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
-                       eval_d2g=_fd_of(eval_dg, 4), eval_d3g=_fd_of(_fd_of(eval_dg, 4), 5),
+                       eval_d2g=_fd_derivative(eval_dg),
+                       eval_d3g=_fd_derivative(_fd_derivative(eval_dg)),
                        tau=tau, derivative_provenance="finite-difference",
                        name=name)

@@ -20,10 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "DeltaSymbol",
     "gen_kronecker_delta",
     "antisymmetric_index_pairs",
-    "signed_permutations",
     "permutation_sign",
     "relative_sign",
     "canonical_matchings",
@@ -39,19 +37,7 @@ MAX_DELTA_ORDER = 6
 
 def permutation_sign(perm):
     """Sign of a permutation given as a tuple of distinct integers."""
-    order = sorted(range(len(perm)), key=lambda i: perm[i])
-    sign, seen = 1, [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
+    return relative_sign(tuple(sorted(perm)), tuple(perm))
 
 
 def relative_sign(src, dst):
@@ -110,19 +96,6 @@ def gen_kronecker_delta(upper, lower, n=None):
     return _delta_cached(upper, lower)
 
 
-@dataclass(frozen=True)
-class DeltaSymbol:
-    """Generalized Kronecker delta of a fixed order, memoized per tuple."""
-
-    order: int
-
-    def __call__(self, upper, lower):
-        upper, lower = tuple(upper), tuple(lower)
-        if len(upper) != self.order or len(lower) != self.order:
-            raise ValueError(f"expected index tuples of length {self.order}")
-        return gen_kronecker_delta(upper, lower)
-
-
 def antisymmetric_index_pairs(n, k):
     """Yield (increasing 2k-subset, multiplicity) for the delta-sum support.
 
@@ -136,13 +109,6 @@ def antisymmetric_index_pairs(n, k):
     mult = math.factorial(2 * k)
     for subset in itertools.combinations(range(n), 2 * k):
         yield subset, mult
-
-
-def signed_permutations(subset):
-    """Yield (permutation, sign) for every ordering of an index subset."""
-    subset = tuple(subset)
-    for perm in itertools.permutations(subset):
-        yield perm, relative_sign(subset, perm)
 
 
 def canonical_matchings(values):

@@ -77,6 +77,17 @@ def sphere_rule(n, level):
     return SphereRule(n=n, level=level, nodes=nodes, weights=weights)
 
 
+def _finite_values(F, r, rule):
+    """F at the rule's nodes on the sphere of radius r; non-finite values
+    raise FloatingPointError."""
+    vals = np.asarray(F(r * rule.nodes), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        bad = rule.nodes[int(np.argmax(~np.isfinite(vals)))]
+        raise FloatingPointError(
+            f"integrand non-finite at node direction {bad.tolist()} (r={r})")
+    return vals
+
+
 def surface_integral(F, r, rule):
     """Integral of F over the coordinate sphere of radius r.
 
@@ -85,11 +96,7 @@ def surface_integral(F, r, rule):
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    vals = np.asarray(F(r * rule.nodes), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = rule.nodes[int(np.argmax(~np.isfinite(vals)))]
-        raise FloatingPointError(
-            f"integrand non-finite at node direction {bad.tolist()} (r={r})")
+    vals = _finite_values(F, r, rule)
     return float(r ** (rule.n - 1) * np.dot(rule.weights, vals))
 
 
@@ -112,11 +119,6 @@ def ball_integral(F, r_inner, r_outer, rule, radial_level=48):
         rad_w = 0.5 * (r_outer - r_inner) * w
     total = 0.0
     for rv, wv in zip(radii, rad_w):
-        vals = np.asarray(F(rv * rule.nodes), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            bad = rule.nodes[int(np.argmax(~np.isfinite(vals)))]
-            raise FloatingPointError(
-                f"integrand non-finite at node direction {bad.tolist()} "
-                f"(r={rv})")
+        vals = _finite_values(F, rv, rule)
         total += wv * rv ** (rule.n - 1) * float(np.dot(rule.weights, vals))
     return total

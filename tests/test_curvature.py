@@ -33,7 +33,7 @@ def test_flat_bundle_vanishes():
     assert not bund.riemann_lo.any()
     assert not bund.ricci.any()
     assert not bund.scalar.any()
-    assert not curvature.p_tensor(g, x).components.any()
+    assert not curvature.p_tensor(g, x).any()
     assert not curvature.lovelock_einstein(2, g, x).any()
 
 
@@ -95,7 +95,7 @@ def test_paraboloid_origin_values():
         pytest.approx(120.0, abs=1e-8)
     assert float(curvature.gauss_bonnet_L2_direct(f.metric, x, bund=bund)[0]) == \
         pytest.approx(120.0, abs=1e-8)
-    P = curvature.p_tensor(f.metric, x, bund=bund).components
+    P = curvature.p_tensor(f.metric, x, bund=bund)
     assert float(P[0, 0, 1, 0, 1]) == pytest.approx(3.0, abs=1e-10)
 
 
@@ -106,7 +106,7 @@ def test_three_way_l2_agreement():
         bund = curvature.riemann(g, pts)
         a = curvature.lovelock_L(2, g, pts, bund=bund)
         b = curvature.gauss_bonnet_L2_direct(g, pts, bund=bund)
-        P = curvature.p_tensor(g, pts, bund=bund).components
+        P = curvature.p_tensor(g, pts, bund=bund)
         c = np.einsum('xijkl,xijkl->x', P, bund.riemann_lo)
         scale = 1.0 + np.abs(a).max()
         assert np.abs(a - b).max() / scale < 1e-9
@@ -146,7 +146,7 @@ def test_p_tensor_symmetries():
     g = _bump_graph().metric
     rng = np.random.default_rng(27)
     pts = _points(rng, 5, 10)
-    P = curvature.p_tensor(g, pts).components
+    P = curvature.p_tensor(g, pts)
     scale = np.abs(P).max()
     assert np.abs(P + P.transpose(0, 2, 1, 3, 4)).max() / scale < 1e-12
     assert np.abs(P + P.transpose(0, 1, 2, 4, 3)).max() / scale < 1e-12
@@ -161,18 +161,18 @@ def test_p_tensor_general_reductions():
     pts = _points(rng, 5, 10)
     bund = curvature.riemann(g, pts)
     # P_(1)^{ijlm} = (g^{il} g^{jm} - g^{im} g^{jl}) / 2
-    P1 = curvature.p_tensor_general(1, g, pts, bund=bund).components
+    P1 = curvature.p_tensor_general(1, g, pts, bund=bund)
     expected = 0.5 * (np.einsum('xik,xjl->xijkl', bund.ginv, bund.ginv)
                       - np.einsum('xil,xjk->xijkl', bund.ginv, bund.ginv))
     assert np.abs(P1 - expected).max() < 1e-12
     # flat P_(1)^{1212} = 1/2
     flat = metrics.euclidean(5)
     x0 = np.zeros((1, 5))
-    P1f = curvature.p_tensor_general(1, flat, x0).components
+    P1f = curvature.p_tensor_general(1, flat, x0)
     assert float(P1f[0, 0, 1, 0, 1]) == pytest.approx(0.5)
     # k=2 general path equals the closed-form P
-    P2 = curvature.p_tensor_general(2, g, pts, bund=bund).components
-    Pc = curvature.p_tensor(g, pts, bund=bund).components
+    P2 = curvature.p_tensor_general(2, g, pts, bund=bund)
+    Pc = curvature.p_tensor(g, pts, bund=bund)
     assert np.abs(P2 - Pc).max() < 1e-10
     # contraction identity P_(k) . Rm = L_k for k in {1, 2}
     for k, P in ((1, P1), (2, P2)):
@@ -307,14 +307,20 @@ def test_conformal_p_tensor_compressed_form():
     expected_lo_weight = (n - 3) * np.exp(-2 * u)
     # raise all four indices with g^{-1} = e^{2u} delta
     expected = (expected_lo_weight * np.exp(8 * u))[:, None, None, None, None] * K
-    P = curvature.p_tensor(g, pts).components
+    P = curvature.p_tensor(g, pts)
     scale = 1.0 + np.abs(P).max()
     assert np.abs(P - expected).max() / scale < 1e-9
 
 
-def test_bundle_cache_reuse():
-    g = _conformal(5)
-    pts = np.full((3, 5), 1.7)
-    b1 = curvature.riemann(g, pts)
-    b2 = curvature.riemann(g, pts)
-    assert b1 is b2
+def test_riemann_no_alias_after_gc():
+    # object ids are reused after garbage collection: a bundle cache keyed
+    # on id(g) hands the flat metric the Schwarzschild bundle
+    pts = np.full((3, 6), 1.7)
+    for i in range(40):
+        if i % 2:
+            g = metrics.euclidean(6)
+            assert not curvature.riemann(g, pts).scalar.any()
+        else:
+            g = metrics.schwarzschild_family(2, 6, 1.0)
+            assert curvature.riemann(g, pts).scalar.any()
+        del g

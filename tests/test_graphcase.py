@@ -157,6 +157,9 @@ def test_horizon_boundary_term_sphere_value():
     small = graphcase.horizon_boundary_term(
         None, graphcase.sphere_surface(n, 1e-3), rule)
     assert abs(small) < 1e-3
+    # no surface at all is a typed error, not an attribute lookup failure
+    with pytest.raises(ValueError, match="horizon surface required"):
+        graphcase.horizon_boundary_term(None, None, rule)
 
 
 def test_af_chain_coincides_on_round_spheres():

@@ -84,14 +84,18 @@ def test_surface_integral_scaling():
         quad.surface_integral(lambda p: np.ones(len(p)), -1.0, rule)
 
 
-def test_surface_integral_rejects_nonfinite():
+@pytest.mark.parametrize("integrate", [
+    lambda F, rule: quad.surface_integral(F, 1.0, rule),
+    lambda F, rule: quad.ball_integral(F, 0.0, 1.0, rule),
+], ids=["surface_integral", "ball_integral"])
+def test_surface_integral_rejects_nonfinite(integrate):
     rule = quad.sphere_rule(5, 3)
     def bad(p):
         out = np.ones(len(p))
         out[0] = np.nan
         return out
-    with pytest.raises(FloatingPointError):
-        quad.surface_integral(bad, 1.0, rule)
+    with pytest.raises(FloatingPointError, match="non-finite at node"):
+        integrate(bad, rule)
 
 
 def test_ball_integral_constant():
