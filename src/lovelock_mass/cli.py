@@ -53,7 +53,8 @@ def _thread_cap():
         threadpool_limits(limits=cap)
     except ImportError:
         # computation is deterministic regardless; the cap is best-effort
-        pass
+        print(f"note: LOVELOCK_MASS_THREADS={cap} not applied: "
+              "threadpoolctl is not installed", file=sys.stderr)
     return cap
 
 

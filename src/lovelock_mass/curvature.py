@@ -17,7 +17,6 @@ on the same batch compute it once and pass it on with bund=.
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,30 +46,20 @@ class CurvatureBundle:
     """Curvature data of one metric on one batch of points.
 
     Index layout mirrors the formulas: gamma[..., k, i, j] = Gamma^k_ij,
-    dgamma[..., k, i, j, l] = d_l Gamma^k_ij, riemann_lo[..., i, j, k, l]
-    = R_ijkl, riemann_mix[..., a, b, c, d] = R_ab^cd, riemann_hi fully
-    raised, ricci[..., i, k] = R_ik, scalar[...] = R.
+    riemann_lo[..., i, j, k, l] = R_ijkl, riemann_mix[..., a, b, c, d]
+    = R_ab^cd, riemann_hi fully raised, ricci[..., i, k] = R_ik,
+    scalar[...] = R.
     """
 
-    x: np.ndarray
-    n: int
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray
     gamma: np.ndarray
-    dgamma: np.ndarray
-    riemann_lo: Optional[np.ndarray] = None
-    riemann_mix: Optional[np.ndarray] = None
-    riemann_hi: Optional[np.ndarray] = None
-    ricci: Optional[np.ndarray] = None
-    scalar: Optional[np.ndarray] = None
-
-
-def _as_batch(x):
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 1:
-        return pts[None, :], True
-    return pts, False
+    riemann_lo: np.ndarray
+    riemann_mix: np.ndarray
+    riemann_hi: np.ndarray
+    ricci: np.ndarray
+    scalar: np.ndarray
 
 
 def _christoffel_arrays(g, pts):
@@ -91,7 +80,7 @@ def _christoffel_arrays(g, pts):
 
 def riemann(g, x):
     """Full curvature bundle at a batch of points."""
-    pts, single = _as_batch(x)
+    pts, _ = _metrics._batch(x)
     gv, ginv, dg, gamma, dgamma = _christoffel_arrays(g, pts)
     # R^m_{ijk} = d_i Gamma^m_jk - d_j Gamma^m_ik + Gamma Gamma terms
     r_updown = (np.einsum('xmjki->xmijk', dgamma)
@@ -103,8 +92,7 @@ def riemann(g, x):
     riemann_hi = np.einsum('xabcd,xae,xbf->xefcd', riemann_mix, ginv, ginv)
     ricci = np.einsum('xjl,xijkl->xik', ginv, riemann_lo)
     scalar = np.einsum('xik,xik->x', ginv, ricci)
-    return CurvatureBundle(x=pts, n=g.n, g=gv, ginv=ginv, dg=dg,
-                           gamma=gamma, dgamma=dgamma,
+    return CurvatureBundle(g=gv, ginv=ginv, dg=dg, gamma=gamma,
                            riemann_lo=riemann_lo, riemann_mix=riemann_mix,
                            riemann_hi=riemann_hi, ricci=ricci, scalar=scalar)
 
@@ -132,7 +120,7 @@ def lovelock_L(k, g, x, bund=None):
     Returns 0 with a warning when 2k > n; k = n/2 is the Euler-density
     borderline and is allowed.
     """
-    pts, single = _as_batch(x)
+    pts, single = _metrics._batch(x)
     n = g.n
     if 2 * k > n:
         warnings.warn(f"L_{k} vanishes identically for 2k > n = {n}")
@@ -151,7 +139,7 @@ def lovelock_L(k, g, x, bund=None):
 
 def gauss_bonnet_L2_direct(g, x, bund=None):
     """L_2 from curvature norms: |Rm|^2 - 4 |Ric|^2 + R^2."""
-    pts, single = _as_batch(x)
+    pts, single = _metrics._batch(x)
     if bund is None:
         bund = riemann(g, pts)
     norm_rm = np.einsum('xijkl,xijkl->x', bund.riemann_lo, bund.riemann_hi)
@@ -168,7 +156,7 @@ def p_tensor(g, x, bund=None):
     P^{ijkl} = R^{ijkl} + R^{jk} g^{il} - R^{jl} g^{ik} - R^{ik} g^{jl}
                + R^{il} g^{jk} + (R/2)(g^{ik} g^{jl} - g^{il} g^{jk}).
     """
-    pts, single = _as_batch(x)
+    pts, single = _metrics._batch(x)
     if bund is None:
         bund = riemann(g, pts)
     ginv = bund.ginv
@@ -192,7 +180,7 @@ def p_tensor_general(k, g, x, bund=None):
     p_tensor.  Returns the array P[..., i, j, l, m] = P_(k)^{ijlm}, all
     zeros with a warning when 2k > n.
     """
-    pts, single = _as_batch(x)
+    pts, single = _metrics._batch(x)
     n = g.n
     if 2 * k > n:
         warnings.warn(f"P_({k}) vanishes identically for 2k > n = {n}")
@@ -221,7 +209,7 @@ def lovelock_einstein(k, g, x, bund=None):
     k = 1 gives Ric - (R/2) g; the k = 2 tensor matches the expanded
     quadratic-curvature form (tested).  Indices are both covariant.
     """
-    pts, single = _as_batch(x)
+    pts, single = _metrics._batch(x)
     n = g.n
     if 2 * k > n:
         raise ValueError(f"require 2k <= n, got k={k}, n={n}")
@@ -248,7 +236,7 @@ def weyl_sigma2_split(g, x, bund=None):
     function of the Schouten tensor, so that
     L_2 = |W|^2 + 8 (n-2)(n-3) sigma_2.
     """
-    pts, single = _as_batch(x)
+    pts, single = _metrics._batch(x)
     n = g.n
     if bund is None:
         bund = riemann(g, pts)
@@ -285,7 +273,7 @@ def divergence_of_P(k, g, x):
     P field with the wide step, so the result is a numerical residual,
     not an exact zero.
     """
-    pts, single = _as_batch(x)
+    pts, single = _metrics._batch(x)
     dP = _metrics.central_difference(lambda p: p_tensor_general(k, g, p),
                                      pts, _metrics.fd_step_second(pts))
     bund = riemann(g, pts)

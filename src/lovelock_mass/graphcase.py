@@ -10,6 +10,7 @@ data, and the monotone chain of boundary functionals used in the
 Penrose-type comparisons.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,7 +71,6 @@ class GraphFunction:
     hess: Callable
     third: Callable
     tau: float
-    value: Optional[Callable] = None
     horizon: Optional["Ellipsoid"] = None
     r_min: float = 0.0
     name: str = "graph"
@@ -91,40 +91,20 @@ def radial_graph(n, slope, tau, r_min=0.0, horizon=None, name="radial-graph"):
     first two derivatives; the value of f itself is never needed.
     """
 
-    def _pts(x):
-        pts = np.asarray(x, dtype=float)
-        r = np.linalg.norm(pts, axis=-1)
-        if np.any(r <= r_min):
-            raise metrics.DomainError(
-                f"{name}: point inside domain radius {r_min:.6g}")
-        return pts, r
+    def jet(order):
+        def ev(x):
+            pts = np.asarray(x, dtype=float)
+            r = np.linalg.norm(pts, axis=-1)
+            if np.any(r <= r_min):
+                raise metrics.DomainError(
+                    f"{name}: point inside domain radius {r_min:.6g}")
+            jets = metrics._radial_jets(pts, r, slope(r), slope.d1(r),
+                                        slope.d2(r))
+            return next(itertools.islice(jets, order, None))
+        return ev
 
-    def grad(x):
-        pts, r = _pts(x)
-        return slope(r)[:, None] * pts / r[:, None]
-
-    def hess(x):
-        pts, r = _pts(x)
-        u = pts / r[:, None]
-        P = np.eye(n)[None] - u[:, :, None] * u[:, None, :]
-        s, s1 = slope(r), slope.d1(r)
-        return s1[:, None, None] * u[:, :, None] * u[:, None, :] \
-            + (s / r)[:, None, None] * P
-
-    def third(x):
-        pts, r = _pts(x)
-        u = pts / r[:, None]
-        P = np.eye(n)[None] - u[:, :, None] * u[:, None, :]
-        s, s1, s2 = slope(r), slope.d1(r), slope.d2(r)
-        uuu = u[:, :, None, None] * u[:, None, :, None] * u[:, None, None, :]
-        Pu = (P[:, :, :, None] * u[:, None, None, :]
-              + P[:, :, None, :] * u[:, None, :, None]
-              + P[:, None, :, :] * u[:, :, None, None])
-        return s2[:, None, None, None] * uuu \
-            + ((s1 - s / r) / r)[:, None, None, None] * Pu
-
-    return GraphFunction(n=n, grad=grad, hess=hess, third=third, tau=tau,
-                         horizon=horizon, r_min=r_min, name=name)
+    return GraphFunction(n=n, grad=jet(0), hess=jet(1), third=jet(2),
+                         tau=tau, horizon=horizon, r_min=r_min, name=name)
 
 
 def schwarzschild_slope_profile(k, n, m):
@@ -152,10 +132,7 @@ def schwarzschild_graph(n, m, k=2):
 
 def egb_graph_slope_profile(n, alpha, m):
     """Slope sqrt(1/F - 1) of the Gauss-Bonnet-corrected black hole."""
-    at = 2 * (n - 2) * (n - 3) * sp.nsimplify(alpha, rational=False)
-    r = sp.Symbol("r", positive=True)
-    # 1/F - 1 written in conjugate form, stable for large r
-    G = 4 * m / (r ** (n - 2) * (1 + sp.sqrt(1 + 4 * at * m / r ** n)))
+    r, G = metrics._egb_one_minus_F(n, alpha, m)
     return RadialProfile(sp.sqrt(G / (1 - G)), r)
 
 
@@ -274,8 +251,7 @@ def quadratic_graph(n, H, v=None, name="quadratic"):
 
 def graph_L2(f, x):
     """L_2 on a graph via P^{ijkl}(f_ik f_jl - f_il f_jk) / (1 + |df|^2)."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    single = np.asarray(x).ndim == 1
+    pts, single = metrics._batch(x)
     g = f.metric
     bund = curvature.riemann(g, pts)
     P = curvature.p_tensor(g, pts, bund=bund)
@@ -285,13 +261,12 @@ def graph_L2(f, x):
     hh = (np.einsum('xik,xjl->xijkl', d2f, d2f)
           - np.einsum('xil,xjk->xijkl', d2f, d2f))
     out = np.einsum('xijkl,xijkl->x', P, hh) / denom
-    return out[0] if single else out
+    return metrics._unbatch(out, single)
 
 
 def graph_divergence_identity_residual(f, x):
     """|d_i(P^{ijkl} d_l g_jk) - L_2 / 2| with the outer d_i by differences."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    single = np.asarray(x).ndim == 1
+    pts, single = metrics._batch(x)
     g = f.metric
 
     def Q(p):
@@ -303,11 +278,16 @@ def graph_divergence_identity_residual(f, x):
     # left-to-right sum over the diagonal, not np.trace, to keep its rounding
     div = sum(dQ[:, i, i] for i in range(f.n))
     out = np.abs(div - 0.5 * curvature.lovelock_L(2, g, pts))
-    return out[0] if single else out
+    return metrics._unbatch(out, single)
 
 
 # ---------------------------------------------------------------------------
 # bulk integral
+
+
+def _inner_radius(f):
+    """Inner radius of the bulk integrals: just outside the graph's domain."""
+    return f.r_min * (1.0 + 1e-3) if f.r_min > 0 else 0.0
 
 
 def bulk_mass(f, rule=None, r_inner=None, r_outer=float("inf"),
@@ -319,9 +299,9 @@ def bulk_mass(f, rule=None, r_inner=None, r_outer=float("inf"),
     against non-integrable L_2 when the outer radius is infinite.
     """
     n = f.n
-    rule = rule if rule is not None else quadrature.sphere_rule(n, _mass.default_level(n))
+    rule = _mass._rule_for(n, rule)
     if r_inner is None:
-        r_inner = f.r_min * (1.0 + 1e-3) if f.r_min > 0 else 0.0
+        r_inner = _inner_radius(f)
     g = f.metric
 
     def F(pts):
@@ -369,8 +349,14 @@ class HypersurfaceData:
     induced_scalar: float
 
 
-def _mean_curvature_vector(lam):
-    return np.array([elementary_symmetric(lam, k) for k in (1, 2, 3, 4)])
+def _hypersurface_data(second_ff, lam):
+    """HypersurfaceData from the second fundamental form and its
+    principal curvatures lam (Gauss equation for the induced scalar)."""
+    lam = np.sort(lam)
+    Hks = np.array([elementary_symmetric(lam, k) for k in (1, 2, 3, 4)])
+    return HypersurfaceData(second_ff=second_ff, eigenvalues=lam,
+                            mean_curvatures=Hks,
+                            induced_scalar=float(2.0 * Hks[1]))
 
 
 def graph_hypersurface_data(f, at):
@@ -386,11 +372,7 @@ def graph_hypersurface_data(f, at):
     A = H / math.sqrt(W)
     g = np.eye(f.n) + np.outer(df, df)
     lam = np.linalg.eigvals(np.linalg.solve(g, A))
-    lam = np.sort(lam.real)
-    Hks = _mean_curvature_vector(lam)
-    return HypersurfaceData(second_ff=A, eigenvalues=lam,
-                            mean_curvatures=Hks,
-                            induced_scalar=float(2.0 * Hks[1]))
+    return _hypersurface_data(A, lam.real)
 
 
 @dataclass(frozen=True)
@@ -420,20 +402,23 @@ class Ellipsoid:
         det = float(np.prod(a))
         return det * np.linalg.norm(omega / a[None, :], axis=-1)
 
-    def principal_curvatures(self, x):
-        """Principal curvatures at surface points (batched)."""
+    def _shape_operator(self, x):
+        """Second fundamental form at batched surface points, as (B, n, n)
+        matrices on R^n that vanish along the normal."""
         x = np.atleast_2d(x)
         a2 = self.semiaxes ** 2
         Dx = x / a2[None, :]
         norm = np.linalg.norm(Dx, axis=-1)
         nu = Dx / norm[:, None]
         P = np.eye(self.n)[None] - nu[:, :, None] * nu[:, None, :]
-        M = np.einsum('xab,b,xbc->xac', P, 1.0 / a2, P) / norm[:, None, None]
-        lam = np.linalg.eigvalsh(M)
+        return np.einsum('xab,b,xbc->xac', P, 1.0 / a2, P) / norm[:, None, None]
+
+    def principal_curvatures(self, x):
+        """Principal curvatures at surface points (batched)."""
+        lam = np.linalg.eigvalsh(self._shape_operator(x))
         # drop the null direction along the normal
-        drop = np.argmin(np.abs(lam), axis=-1)
-        keep = np.array([np.delete(row, d) for row, d in zip(lam, drop)])
-        return keep
+        keep = np.arange(self.n) != np.argmin(np.abs(lam), axis=-1)[:, None]
+        return lam[keep].reshape(len(lam), self.n - 1)
 
 
 def sphere_surface(n, radius):
@@ -443,18 +428,9 @@ def sphere_surface(n, radius):
 
 def surface_hypersurface_data(surface, omega):
     """Hypersurface data of a parametric surface at one direction."""
-    omega = np.asarray(omega, dtype=float)
-    x = surface.embed(omega[None, :])[0]
-    lam = np.sort(surface.principal_curvatures(x[None, :])[0])
-    Hks = _mean_curvature_vector(lam)
-    a2 = surface.semiaxes ** 2
-    Dx = x / a2
-    nu = Dx / np.linalg.norm(Dx)
-    A = (np.eye(surface.n) - np.outer(nu, nu)) @ np.diag(1.0 / a2) \
-        @ (np.eye(surface.n) - np.outer(nu, nu)) / np.linalg.norm(Dx)
-    return HypersurfaceData(second_ff=A, eigenvalues=lam,
-                            mean_curvatures=Hks,
-                            induced_scalar=float(2.0 * Hks[1]))
+    x = surface.embed(np.asarray(omega, dtype=float)[None, :])
+    return _hypersurface_data(surface._shape_operator(x)[0],
+                              surface.principal_curvatures(x)[0])
 
 
 def hypersurface_data(source, at):
@@ -472,25 +448,38 @@ def surface_area(surface, rule):
     return float(np.dot(rule.weights, J))
 
 
+def _quermass_integrals(surface, ks, rule):
+    """Integrals of H_k over the surface for each k in ks (H_0 = 1 gives
+    the area), from one evaluation of the principal curvatures."""
+    lam = surface.principal_curvatures(surface.embed(rule.nodes))
+    J = surface.area_element(rule.nodes)
+    return [float(np.dot(rule.weights, J * elementary_symmetric(lam, k)))
+            for k in ks]
+
+
 def quermassintegral(surface, k, rule):
     """Integral of the k-th mean curvature H_k over the surface."""
-    x = surface.embed(rule.nodes)
-    lam = surface.principal_curvatures(x)
-    hk = elementary_symmetric(lam, k)
-    J = surface.area_element(rule.nodes)
-    return float(np.dot(rule.weights, J * hk))
+    return _quermass_integrals(surface, (k,), rule)[0]
 
 
 def horizon_boundary_term(f, sigma, rule):
     """Horizon contribution c2(n) * integral of 3 H_3 over sigma.
 
-    H_3 is taken with respect to flat R^n; f only fixes the ambient
-    dimension and may be None for a bare-surface evaluation.
+    H_3 is taken with respect to flat R^n; f, when given, must be a
+    graph over the same R^n as sigma, and may be None for a bare-surface
+    evaluation.
     """
+    n = _horizon_dimension(f, sigma)
+    return _mass.c2_constant(n) * 3.0 * quermassintegral(sigma, 3, rule)
+
+
+def _horizon_dimension(f, sigma):
+    """Ambient dimension of a graph f (or None) with horizon sigma."""
     if sigma is None:
         raise ValueError("horizon surface required")
-    n = sigma.n if f is None else f.n
-    return _mass.c2_constant(n) * 3.0 * quermassintegral(sigma, 3, rule)
+    if f is not None and f.n != sigma.n:
+        raise ValueError(f"graph over R^{f.n} with a horizon in R^{sigma.n}")
+    return sigma.n
 
 
 # ---------------------------------------------------------------------------
@@ -515,15 +504,16 @@ class PenroseReport:
 
 
 def af_chain_bounds(sigma, rule):
-    """The four boundary quantities of the comparison chain."""
+    """The four boundary quantities of the comparison chain; the first is
+    the horizon boundary term."""
     n = sigma.n
     omega = quadrature.sphere_volume(n)
-    b0 = _mass.c2_constant(n) * 3.0 * quermassintegral(sigma, 3, rule)
-    int_2h2 = 2.0 * quermassintegral(sigma, 2, rule)
-    b1 = 0.25 * (int_2h2 / ((n - 1) * (n - 2) * omega)) ** ((n - 4) / (n - 3))
-    int_h1 = quermassintegral(sigma, 1, rule)
+    int_h3, int_h2, int_h1, area = _quermass_integrals(sigma, (3, 2, 1, 0),
+                                                       rule)
+    b0 = _mass.c2_constant(n) * 3.0 * int_h3
+    b1 = 0.25 * (2.0 * int_h2 / ((n - 1) * (n - 2) * omega)) ** ((n - 4) / (n - 3))
     b2 = 0.25 * (int_h1 / ((n - 1) * omega)) ** ((n - 4) / (n - 2))
-    b3 = 0.25 * (surface_area(sigma, rule) / omega) ** ((n - 4) / (n - 1))
+    b3 = 0.25 * (area / omega) ** ((n - 4) / (n - 1))
     return np.array([b0, b1, b2, b3])
 
 
@@ -533,15 +523,14 @@ def penrose_report(f, sigma, rule=None, radial_level=64):
     With f None only the boundary chain is evaluated (bulk 0), which is
     the bare-horizon comparison mode.
     """
-    n = sigma.n if f is None else f.n
-    rule = rule if rule is not None else quadrature.sphere_rule(n, _mass.default_level(n))
+    rule = _mass._rule_for(_horizon_dimension(f, sigma), rule)
     if f is not None:
         bulk = bulk_mass(f, rule=rule, radial_level=radial_level)
     else:
         bulk = 0.0
-    boundary = horizon_boundary_term(f, sigma, rule)
-    total = bulk + boundary
     chain = af_chain_bounds(sigma, rule)
+    boundary = float(chain[0])
+    total = bulk + boundary
     slack = total - chain
     comp = ({"bulk": bulk, "boundary": boundary, "mass": total,
              "bounds": chain.tolist(), "slack": slack.tolist()},)
@@ -589,9 +578,8 @@ def adm_graph_mass(f, rule=None, alpha=0.0, sigma=None, radial_level=64):
     where the boundary term appears only with a horizon sigma.
     """
     n = f.n
-    rule = rule if rule is not None else quadrature.sphere_rule(n, _mass.default_level(n))
+    rule = _mass._rule_for(n, rule)
     sigma = sigma if sigma is not None else f.horizon
-    r_inner = f.r_min * (1.0 + 1e-3) if f.r_min > 0 else 0.0
     g = f.metric
 
     def F(pts):
@@ -601,12 +589,12 @@ def adm_graph_mass(f, rule=None, alpha=0.0, sigma=None, radial_level=64):
             out = out + alpha * curvature.lovelock_L(2, g, pts, bund=bund)
         return out
 
-    bulk = quadrature.ball_integral(F, r_inner, float("inf"), rule,
+    bulk = quadrature.ball_integral(F, _inner_radius(f), float("inf"), rule,
                                     radial_level=radial_level)
     boundary = 0.0
     if sigma is not None:
-        boundary = (quermassintegral(sigma, 1, rule)
-                    + 6.0 * alpha * quermassintegral(sigma, 3, rule))
+        int_h1, int_h3 = _quermass_integrals(sigma, (1, 3), rule)
+        boundary = int_h1 + 6.0 * alpha * int_h3
     norm = 2.0 * (n - 1) * quadrature.sphere_volume(n)
     return (bulk + boundary) / norm
 
@@ -619,7 +607,7 @@ def egb_graph_penrose(f, sigma, alpha, rule=None, radial_level=64):
     and the slack.
     """
     n = f.n
-    rule = rule if rule is not None else quadrature.sphere_rule(n, _mass.default_level(n))
+    rule = _mass._rule_for(n, rule)
     m_val = adm_graph_mass(f, rule=rule, alpha=alpha, sigma=sigma,
                            radial_level=radial_level)
     ratio = surface_area(sigma, rule) / quadrature.sphere_volume(n)

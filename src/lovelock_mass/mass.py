@@ -112,8 +112,9 @@ def default_level(n):
     return 3
 
 
-def _rule_for(g, rule):
-    return rule if rule is not None else quadrature.sphere_rule(g.n, default_level(g.n))
+def _rule_for(n, rule):
+    """The given sphere rule, or the default-level rule on S^(n-1)."""
+    return rule if rule is not None else quadrature.sphere_rule(n, default_level(n))
 
 
 def _chunked(fun, pts, chunk=_CHUNK):
@@ -165,7 +166,7 @@ def flux(kind, g, r, rule=None, *, k=2, alpha=0.0):
     (first order plus 2 alpha times the second-order integrand).
     """
     _check_kind(kind)
-    rule = _rule_for(g, rule)
+    rule = _rule_for(g.n, rule)
     raw = quadrature.surface_integral(_integrand(kind, g, r, k, alpha),
                                       r, rule)
     n = g.n
@@ -196,7 +197,7 @@ def mass(kind, g, radii=None, rule=None, *, k=2, alpha=0.0):
     if kind == "mk" and not 1 <= k < n / 2:
         raise ValueError(f"require 1 <= k < n/2, got k={k}, n={n}")
     radii = default_radii() if radii is None else radii
-    rule = _rule_for(g, rule)
+    rule = _rule_for(g.n, rule)
     integrand_id = {"adm": f"adm[n={n}]", "gbc": f"gbc[n={n}]",
                     "mk": f"m{k}[n={n}]",
                     "egb": f"egb[n={n},alpha={alpha}]"}[kind]
@@ -370,7 +371,7 @@ def invariance_check(g, c, k, radii=None, rule=None):
     Returns (estimate, estimate_pushforward, delta).
     """
     radii = default_radii() if radii is None else radii
-    rule = _rule_for(g, rule)
+    rule = _rule_for(g.n, rule)
     est = mk_mass(k, g, radii=radii, rule=rule)
     ghat = metrics.pushforward(g, c)
     est_hat = mk_mass(k, ghat, radii=radii, rule=rule)

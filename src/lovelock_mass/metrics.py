@@ -7,10 +7,10 @@ g_ij = delta_ij + (A(r) - 1) x_i x_j / r^2.
 
 Evaluator conventions
 ---------------------
-All evaluators are batched: an input of shape (..., n) yields
-g of shape (..., n, n), dg of shape (..., n, n, n) with the derivative
-index last (dg[..., i, j, k] = d_k g_ij), and so on through d3g with
-three trailing derivative indices.
+Evaluators take a point (n,) or a batch (B, n), and raise ValueError on
+more leading axes.  g has shape (..., n, n), dg (..., n, n, n) with the
+derivative index last (dg[..., i, j, k] = d_k g_ij), and so on through
+d3g with three trailing derivative indices; ... is () or (B,).
 """
 
 from dataclasses import dataclass
@@ -67,7 +67,9 @@ def _batch(x):
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         return pts[None, :], True
-    return pts.reshape(-1, pts.shape[-1]), False
+    if pts.ndim != 2:
+        raise ValueError(f"points must have shape (n,) or (B, n), got {pts.shape}")
+    return pts, False
 
 
 def _unbatch(out, single):
@@ -180,26 +182,28 @@ class RadialProfile:
         return self._eval(3, r)
 
 
+def _radial_jets(pts, r, c1, c2, c3):
+    """Yield dc[...,k], d2c[...,k,l], d3c[...,k,l,m] of c(|x|) at batched
+    points from its radial derivatives c1, c2, c3, each only when asked
+    for, so a caller that needs dc alone does not build the rank-3 array."""
+    u = pts / r[:, None]
+    yield c1[:, None] * u
+    P = np.eye(pts.shape[-1])[None] - u[:, :, None] * u[:, None, :]
+    yield c2[:, None, None] * u[:, :, None] * u[:, None, :] + (c1 / r)[:, None, None] * P
+    uuu = u[:, :, None, None] * u[:, None, :, None] * u[:, None, None, :]
+    Pu = (P[:, :, :, None] * u[:, None, None, :]
+          + P[:, :, None, :] * u[:, None, :, None]
+          + P[:, None, :, :] * u[:, :, None, None])
+    yield c3[:, None, None, None] * uuu + ((c2 - c1 / r) / r)[:, None, None, None] * Pu
+
+
 def _scalar_radial_derivatives(profile, pts, r):
     """Cartesian derivatives to third order of c(|x|) at batched points.
 
     Returns (c, dc[...,k], d2c[...,k,l], d3c[...,k,l,m]).
     """
-    B, n = pts.shape
-    u = pts / r[:, None]
-    P = np.eye(n)[None] - u[:, :, None] * u[:, None, :]
-    c0 = profile(r)
-    c1 = profile.d1(r)
-    c2 = profile.d2(r)
-    c3 = profile.d3(r)
-    dc = c1[:, None] * u
-    d2c = c2[:, None, None] * u[:, :, None] * u[:, None, :] + (c1 / r)[:, None, None] * P
-    uuu = u[:, :, None, None] * u[:, None, :, None] * u[:, None, None, :]
-    Pu = (P[:, :, :, None] * u[:, None, None, :]
-          + P[:, :, None, :] * u[:, None, :, None]
-          + P[:, None, :, :] * u[:, :, None, None])
-    d3c = c3[:, None, None, None] * uuu + ((c2 - c1 / r) / r)[:, None, None, None] * Pu
-    return c0, dc, d2c, d3c
+    return (profile(r),) + tuple(_radial_jets(pts, r, profile.d1(r),
+                                              profile.d2(r), profile.d3(r)))
 
 
 def radial_metric(n, a_profile, b_profile, tau, r_min=0.0,
@@ -460,6 +464,14 @@ def egb_horizon_radius(n, alpha, m):
     return float(brentq(F, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
 
+def _egb_one_minus_F(n, alpha, m):
+    """Symbol r and 1 - F(r) of the EGB black hole in conjugate form,
+    stable for large r."""
+    at = 2 * (n - 2) * (n - 3) * sp.nsimplify(alpha, rational=False)
+    r = sp.Symbol("r", positive=True)
+    return r, 4 * m / (r ** (n - 2) * (1 + sp.sqrt(1 + 4 * at * m / r ** n)))
+
+
 def egb_blackhole(n, alpha, m):
     """Static Gauss-Bonnet-corrected black hole metric in the r chart.
 
@@ -469,10 +481,7 @@ def egb_blackhole(n, alpha, m):
     """
     if alpha == 0.0:
         return schwarzschild_family(1, n, m, chart="rho")
-    at = 2 * (n - 2) * (n - 3) * sp.nsimplify(alpha, rational=False)
-    r = sp.Symbol("r", positive=True)
-    # conjugate form of the textbook profile, stable for large r
-    G = 4 * m / (r ** (n - 2) * (1 + sp.sqrt(1 + 4 * at * m / r ** n)))
+    r, G = _egb_one_minus_F(n, alpha, m)
     F = 1 - G
     b = G / (F * r ** 2)
     r0 = egb_horizon_radius(n, alpha, m)

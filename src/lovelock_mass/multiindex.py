@@ -147,14 +147,13 @@ class GroupedTermTable:
     """Flat term list for one delta-contracted curvature polynomial.
 
     Each term contributes sign * prod_t Rmix[f[t,0], f[t,1], f[t,2], f[t,3]]
-    to the output slot out_index[term].  Terms are sorted by output slot
-    so consumers can reduce with np.add.reduceat.
+    to one output slot.  Terms are sorted by output slot so consumers
+    can reduce with np.add.reduceat.
 
     Fields: n, k, constant (absorbed multiplicity, exact up front),
     signs (T,), factors (T, q, 4) with q factors of the mixed Riemann
-    tensor, out_index (T, p) output slot labels (p = 0 for scalars),
-    group_starts: start offsets of equal-slot runs, group_index: the
-    slot label of each run.
+    tensor, group_starts: start offsets of equal-slot runs, group_index
+    (G, p): the slot label of each run (p = 0 for scalars).
     """
 
     n: int
@@ -162,7 +161,6 @@ class GroupedTermTable:
     constant: float
     signs: np.ndarray
     factors: np.ndarray
-    out_index: np.ndarray
     group_starts: np.ndarray
     group_index: np.ndarray
 
@@ -175,7 +173,6 @@ def _pack(n, k, constant, terms, out_width):
             n, k, constant,
             signs=np.zeros(0),
             factors=np.zeros((0, 0, 4), dtype=np.intp),
-            out_index=np.zeros((0, out_width), dtype=np.intp),
             group_starts=empty,
             group_index=np.zeros((0, out_width), dtype=np.intp),
         )
@@ -183,15 +180,15 @@ def _pack(n, k, constant, terms, out_width):
     signs = np.array([t[0] for t in terms], dtype=float)
     q = len(terms[0][1])
     factors = np.array([t[1] for t in terms], dtype=np.intp).reshape(len(terms), q, 4)
-    out_index = np.array([t[2] for t in terms], dtype=np.intp).reshape(len(terms), out_width)
     starts = [0]
     for i in range(1, len(terms)):
         if terms[i][2] != terms[i - 1][2]:
             starts.append(i)
     group_starts = np.array(starts, dtype=np.intp)
-    group_index = out_index[group_starts]
-    return GroupedTermTable(n, k, constant, signs, factors, out_index,
-                            group_starts, group_index)
+    group_index = np.array([terms[i][2] for i in starts],
+                           dtype=np.intp).reshape(len(starts), out_width)
+    return GroupedTermTable(n, k, constant, signs, factors, group_starts,
+                            group_index)
 
 
 @lru_cache(maxsize=None)

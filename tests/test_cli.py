@@ -147,9 +147,17 @@ def test_penrose_bound_violation_exit(tmp_path, capsys):
     assert code == 3
 
 
-def test_thread_cap_validation(monkeypatch):
+def test_thread_cap_validation(monkeypatch, capsys):
     monkeypatch.setenv("LOVELOCK_MASS_THREADS", "zero")
     with pytest.raises(SystemExit):
         run(["verify", "--suite", "sigma2"])
     monkeypatch.setenv("LOVELOCK_MASS_THREADS", "2")
     assert run(["verify", "--suite", "hypersurface", "--n", "4"]) == 0
+    # without threadpoolctl the cap cannot be applied, and stderr says so
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    capsys.readouterr()
+    assert run(["verify", "--suite", "hypersurface", "--n", "4"]) == 0
+    captured = capsys.readouterr()
+    assert ("note: LOVELOCK_MASS_THREADS=2 not applied: threadpoolctl is "
+            "not installed") in captured.err
+    assert json.loads(captured.out)["suite"] == "hypersurface"

@@ -266,3 +266,75 @@ def test_graph_slope_decay_rate():
     vals = np.abs(slope(radii))
     rate = np.log(vals[0] / vals[2]) / np.log(radii[2] / radii[0])
     assert rate == pytest.approx(tau / 2.0, rel=0.25)
+
+
+def test_principal_curvatures_drop_the_normal_direction():
+    E = graphcase.Ellipsoid(np.array([2.0, 1.3, 1.0, 0.8, 1.1]))
+    x = E.embed(quadrature.sphere_rule(5, 3).nodes)
+    # reference: the per-row removal of the eigenvalue nearest zero
+    a2 = E.semiaxes ** 2
+    Dx = x / a2
+    norm = np.linalg.norm(Dx, axis=-1)
+    nu = Dx / norm[:, None]
+    P = np.eye(5)[None] - nu[:, :, None] * nu[:, None, :]
+    lam = np.linalg.eigvalsh(
+        np.einsum('xab,b,xbc->xac', P, 1.0 / a2, P) / norm[:, None, None])
+    drop = np.argmin(np.abs(lam), axis=-1)
+    expected = np.array([np.delete(row, d) for row, d in zip(lam, drop)])
+    got = E.principal_curvatures(x)
+    assert got.shape == (len(x), 4)
+    assert np.array_equal(got, expected)
+
+
+def test_af_chain_is_the_quermassintegral_formulas_bit_for_bit():
+    n = 5
+    rule = quadrature.sphere_rule(n, 4)
+    E = graphcase.Ellipsoid(np.array([2.0, 1.3, 1.0, 0.8, 1.1]))
+    omega = quadrature.sphere_volume(n)
+    q = {k: graphcase.quermassintegral(E, k, rule) for k in (1, 2, 3)}
+    expected = [
+        massmod.c2_constant(n) * 3.0 * q[3],
+        0.25 * (2.0 * q[2] / ((n - 1) * (n - 2) * omega)) ** ((n - 4) / (n - 3)),
+        0.25 * (q[1] / ((n - 1) * omega)) ** ((n - 4) / (n - 2)),
+        0.25 * (graphcase.surface_area(E, rule) / omega) ** ((n - 4) / (n - 1)),
+    ]
+    assert graphcase.af_chain_bounds(E, rule).tolist() == expected
+    assert expected[0] == graphcase.horizon_boundary_term(None, E, rule)
+
+
+def test_one_curvature_pass_per_report(monkeypatch):
+    rule = quadrature.sphere_rule(5, 3)
+    f = graphcase.schwarzschild_graph(5, 1.0)
+    calls = []
+    orig = graphcase.Ellipsoid.principal_curvatures
+
+    def counted(self, x):
+        calls.append(len(np.atleast_2d(x)))
+        return orig(self, x)
+
+    monkeypatch.setattr(graphcase.Ellipsoid, "principal_curvatures", counted)
+    rep = graphcase.penrose_report(f, f.horizon, rule=rule, radial_level=8)
+    assert calls == [len(rule.nodes)]
+    assert rep.boundary_term == graphcase.horizon_boundary_term(
+        f, f.horizon, rule)
+    E = graphcase.Ellipsoid(np.array([2.0, 1.3, 1.0, 0.8, 1.1]))
+    rep = graphcase.penrose_report(None, E, rule=rule)
+    assert rep.boundary_term == graphcase.horizon_boundary_term(None, E, rule)
+    assert rep.mass == rep.boundary_term
+    del calls[:]
+    graphcase.af_chain_bounds(E, rule)
+    assert len(calls) == 1
+    del calls[:]
+    graphcase.adm_graph_mass(f, rule=rule, alpha=0.1, radial_level=8)
+    assert len(calls) == 1
+
+
+def test_horizon_dimension_mismatch_is_typed():
+    rule = quadrature.sphere_rule(5, 3)
+    f = graphcase.schwarzschild_graph(5, 1.0)
+    sigma = graphcase.sphere_surface(6, 4.0)
+    with pytest.raises(ValueError, match=r"graph over R\^5 with a horizon "
+                                         r"in R\^6"):
+        graphcase.penrose_report(f, sigma, rule=rule)
+    with pytest.raises(ValueError, match="horizon in R"):
+        graphcase.horizon_boundary_term(f, sigma, rule)

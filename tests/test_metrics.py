@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from lovelock_mass import graphcase, metrics
+from lovelock_mass import curvature, graphcase, metrics
 
 import oracles
 
@@ -28,6 +28,20 @@ def test_euclidean_is_flat():
     assert not g.eval_dg(x).any()
     assert not g.eval_d2g(x).any()
     assert np.isinf(g.tau)
+
+
+def test_evaluators_take_a_point_or_one_batch_axis():
+    f = graphcase.schwarzschild_graph(5, 1.0)
+    x = np.full((2, 3, 5), 3.0)
+    for g in (metrics.euclidean(5), next(_families()), f.metric):
+        assert g.eval_g(x[0, 0]).shape == (5, 5)
+        assert g.eval_dg(x[0]).shape == (3, 5, 5, 5)
+        # extra leading axes used to be flattened into one batch axis
+        for ev in (g.eval_g, g.eval_dg, g.eval_d2g):
+            with pytest.raises(ValueError, match="shape"):
+                ev(x)
+    with pytest.raises(ValueError, match="shape"):
+        curvature.riemann(f.metric, x)
 
 
 def test_analytic_derivatives_match_finite_differences():
