@@ -114,6 +114,19 @@ def _chunks(B, T):
         yield lo, min(B, lo + step)
 
 
+def _slot_sums(table, rmix):
+    """out[x, *slot]: the grouped sum of the table's terms in each slot
+    (zero in slots without terms), one term budget of points at a time."""
+    B = len(rmix)
+    out = np.zeros((B,) + (table.n,) * table.group_index.shape[1])
+    gi = tuple(table.group_index.T)
+    for lo, hi in _chunks(B, len(table.signs)):
+        prod = _gathered_products(table, rmix[lo:hi])
+        out[(slice(lo, hi),) + gi] = np.add.reduceat(prod, table.group_starts,
+                                                     axis=1)
+    return out
+
+
 def lovelock_L(k, g, x, bund=None):
     """k-th Gauss-Bonnet curvature L_k; L_1 is the scalar curvature.
 
@@ -189,16 +202,9 @@ def p_tensor_general(k, g, x, bund=None):
     if bund is None:
         bund = riemann(g, pts)
     table = p_tensor_table(n, k)
-    rmix = bund.riemann_mix
-    ginv = bund.ginv
-    B = len(pts)
-    C = np.zeros((B, n, n, n, n))
-    for lo, hi in _chunks(B, len(table.signs)):
-        prod = _gathered_products(table, rmix[lo:hi])
-        sums = np.add.reduceat(prod, table.group_starts, axis=1)
-        gi = table.group_index
-        C[lo:hi, gi[:, 0], gi[:, 1], gi[:, 2], gi[:, 3]] = sums
+    C = _slot_sums(table, bund.riemann_mix)
     C = C - C.transpose(0, 2, 1, 3, 4)
+    ginv = bund.ginv
     P = table.constant * np.einsum('xstab,xal,xbm->xstlm', C, ginv, ginv)
     return P[0] if single else P
 
@@ -216,15 +222,7 @@ def lovelock_einstein(k, g, x, bund=None):
     if bund is None:
         bund = riemann(g, pts)
     table = lovelock_einstein_table(n, k)
-    rmix = bund.riemann_mix
-    B = len(pts)
-    D = np.zeros((B, n, n))
-    for lo, hi in _chunks(B, len(table.signs)):
-        prod = _gathered_products(table, rmix[lo:hi])
-        sums = np.add.reduceat(prod, table.group_starts, axis=1)
-        gi = table.group_index
-        D[lo:hi, gi[:, 0], gi[:, 1]] = sums
-    D *= table.constant
+    D = table.constant * _slot_sums(table, bund.riemann_mix)
     E = -(1.0 / 2.0 ** (k + 1)) * np.einsum('xli,xlj->xij', bund.g, D)
     return E[0] if single else E
 

@@ -98,8 +98,7 @@ def radial_graph(n, slope, tau, r_min=0.0, horizon=None, name="radial-graph"):
             if np.any(r <= r_min):
                 raise metrics.DomainError(
                     f"{name}: point inside domain radius {r_min:.6g}")
-            jets = metrics._radial_jets(pts, r, slope(r), slope.d1(r),
-                                        slope.d2(r))
+            jets = metrics._radial_jets(pts, r, slope, slope.d1, slope.d2)
             return next(itertools.islice(jets, order, None))
         return ev
 
@@ -604,9 +603,10 @@ def egb_graph_penrose(f, sigma, alpha, rule=None, radial_level=64):
 
     Returns a dict with the computed mass, the area-based lower bound
     (1/2)(|S|/omega)^((n-2)/(n-1)) + (alpha/2)(n-2)(n-3)(|S|/omega)^((n-4)/(n-1)),
-    and the slack.
+    and the slack.  sigma defaults to f.horizon.
     """
-    n = f.n
+    sigma = sigma if sigma is not None else f.horizon
+    n = _horizon_dimension(f, sigma)
     rule = _mass._rule_for(n, rule)
     m_val = adm_graph_mass(f, rule=rule, alpha=alpha, sigma=sigma,
                            radial_level=radial_level)

@@ -13,6 +13,7 @@ derivative index last (dg[..., i, j, k] = d_k g_ij), and so on through
 d3g with three trailing derivative indices; ... is () or (B,).
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -182,14 +183,18 @@ class RadialProfile:
         return self._eval(3, r)
 
 
-def _radial_jets(pts, r, c1, c2, c3):
+def _radial_jets(pts, r, d1, d2, d3):
     """Yield dc[...,k], d2c[...,k,l], d3c[...,k,l,m] of c(|x|) at batched
-    points from its radial derivatives c1, c2, c3, each only when asked
-    for, so a caller that needs dc alone does not build the rank-3 array."""
+    points from the radial derivative functions d1, d2, d3 of c, each
+    only when asked for: a caller that needs dc alone neither evaluates
+    c'' and c''' nor builds the rank-3 array."""
     u = pts / r[:, None]
+    c1 = d1(r)
     yield c1[:, None] * u
     P = np.eye(pts.shape[-1])[None] - u[:, :, None] * u[:, None, :]
+    c2 = d2(r)
     yield c2[:, None, None] * u[:, :, None] * u[:, None, :] + (c1 / r)[:, None, None] * P
+    c3 = d3(r)
     uuu = u[:, :, None, None] * u[:, None, :, None] * u[:, None, None, :]
     Pu = (P[:, :, :, None] * u[:, None, None, :]
           + P[:, :, None, :] * u[:, None, :, None]
@@ -197,13 +202,14 @@ def _radial_jets(pts, r, c1, c2, c3):
     yield c3[:, None, None, None] * uuu + ((c2 - c1 / r) / r)[:, None, None, None] * Pu
 
 
-def _scalar_radial_derivatives(profile, pts, r):
-    """Cartesian derivatives to third order of c(|x|) at batched points.
+def _scalar_radial_derivatives(profile, pts, r, order=3):
+    """Cartesian derivatives up to the given order (at most 3) of c(|x|)
+    at batched points.
 
-    Returns (c, dc[...,k], d2c[...,k,l], d3c[...,k,l,m]).
+    Returns (c, dc[...,k], d2c[...,k,l], d3c[...,k,l,m]) cut after order.
     """
-    return (profile(r),) + tuple(_radial_jets(pts, r, profile.d1(r),
-                                              profile.d2(r), profile.d3(r)))
+    jets = _radial_jets(pts, r, profile.d1, profile.d2, profile.d3)
+    return (profile(r),) + tuple(itertools.islice(jets, order))
 
 
 def radial_metric(n, a_profile, b_profile, tau, r_min=0.0,
@@ -243,10 +249,10 @@ def radial_metric(n, a_profile, b_profile, tau, r_min=0.0,
 
     def eval_dg(x):
         pts, single, r = _parts(x)
-        _, da, _, _ = _scalar_radial_derivatives(profile_a, pts, r)
+        _, da = _scalar_radial_derivatives(profile_a, pts, r, 1)
         out = eye[None, :, :, None] * da[:, None, None, :]
         if b_profile is not None:
-            b0, db, _, _ = _scalar_radial_derivatives(b_profile, pts, r)
+            b0, db = _scalar_radial_derivatives(b_profile, pts, r, 1)
             xx = pts[:, :, None] * pts[:, None, :]
             # d_k (x_i x_j) = delta_ik x_j + delta_jk x_i
             d1xx = (eye[None, :, None, :] * pts[:, None, :, None]
@@ -256,10 +262,10 @@ def radial_metric(n, a_profile, b_profile, tau, r_min=0.0,
 
     def eval_d2g(x):
         pts, single, r = _parts(x)
-        _, _, d2a, _ = _scalar_radial_derivatives(profile_a, pts, r)
+        _, _, d2a = _scalar_radial_derivatives(profile_a, pts, r, 2)
         out = eye[None, :, :, None, None] * d2a[:, None, None, :, :]
         if b_profile is not None:
-            b0, db, d2b, _ = _scalar_radial_derivatives(b_profile, pts, r)
+            b0, db, d2b = _scalar_radial_derivatives(b_profile, pts, r, 2)
             xx = pts[:, :, None] * pts[:, None, :]
             d1xx = (eye[None, :, None, :] * pts[:, None, :, None]
                     + eye[None, None, :, :] * pts[:, :, None, None])
@@ -547,7 +553,7 @@ def perturbation_change(n, profile, decay):
     def _phi_parts(pts):
         r = np.linalg.norm(pts, axis=-1)
         r = np.maximum(r, 1e-300)
-        c0, dc, d2c, _ = _scalar_radial_derivatives(profile, pts, r)
+        c0, dc, d2c = _scalar_radial_derivatives(profile, pts, r, 2)
         phi = c0[:, None] * pts
         eye = np.eye(n)
         dphi = eye[None] * c0[:, None, None] + pts[:, :, None] * dc[:, None, :]

@@ -5,10 +5,20 @@ tables for the delta-contracted curvature polynomials.  All public
 indices are 0-based; the classical formulas use 1-based labels, shift
 by one when comparing with a textbook display.
 
-The term tables exploit the symmetry R_{ab}^{cd} = R_{ba}^{dc} and the
+The Gauss-Bonnet curvature L_k, the Lovelock tensor E^(k) and the flux
+tensor P_(k) are one contraction: a generalized delta of order 2q + f
+against q mixed Riemann factors R_{ab}^{cd}, with f upper and f lower
+indices left free (f = 0 for L_k, 1 for E^(k), 2 for P_(k)).  One
+builder makes all three term tables.  It writes the terms of a single
+sorted (2q + f)-subset once per (q, f), as a pattern over the positions
+0..2q+f-1, and maps that pattern onto every subset of range(n) by array
+indexing.  In each term the f free indices come first on both rows of
+the delta; free upper indices ascend, so P stores only its s < t half.
+
+The pattern exploits the symmetry R_{ab}^{cd} = R_{ba}^{dc} and the
 pair-exchange symmetry of the delta symbol to shrink the permutation
-sum: the upper multi-index runs over canonical matchings only and the
-lower one over orderings with ascending canonical blocks, with the
+sum: the other upper indices run over canonical matchings only and the
+lower ones over orderings with ascending canonical blocks, with the
 absorbed multiplicity restored as an overall integer factor.
 """
 
@@ -21,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "gen_kronecker_delta",
-    "antisymmetric_index_pairs",
     "permutation_sign",
     "relative_sign",
     "canonical_matchings",
@@ -96,21 +105,6 @@ def gen_kronecker_delta(upper, lower, n=None):
     return _delta_cached(upper, lower)
 
 
-def antisymmetric_index_pairs(n, k):
-    """Yield (increasing 2k-subset, multiplicity) for the delta-sum support.
-
-    Each strictly increasing 2k-tuple over range(n) is produced once
-    together with the number of signed permutations it represents, so
-    the full antisymmetrized sum has sum-of-multiplicities
-    (2k)! * C(n, 2k) terms.  Empty for 2k > n.
-    """
-    if 2 * k > n:
-        return
-    mult = math.factorial(2 * k)
-    for subset in itertools.combinations(range(n), 2 * k):
-        yield subset, mult
-
-
 def canonical_matchings(values):
     """Orderings of values into ascending 2-blocks with ascending block heads.
 
@@ -165,30 +159,63 @@ class GroupedTermTable:
     group_index: np.ndarray
 
 
-def _pack(n, k, constant, terms, out_width):
-    """Sort raw (sign, factors, out_slot) terms into a GroupedTermTable."""
-    if not terms:
-        empty = np.zeros(0, dtype=np.intp)
-        return GroupedTermTable(
-            n, k, constant,
-            signs=np.zeros(0),
-            factors=np.zeros((0, 0, 4), dtype=np.intp),
-            group_starts=empty,
-            group_index=np.zeros((0, out_width), dtype=np.intp),
-        )
-    terms.sort(key=lambda t: t[2])
-    signs = np.array([t[0] for t in terms], dtype=float)
-    q = len(terms[0][1])
-    factors = np.array([t[1] for t in terms], dtype=np.intp).reshape(len(terms), q, 4)
-    starts = [0]
-    for i in range(1, len(terms)):
-        if terms[i][2] != terms[i - 1][2]:
-            starts.append(i)
-    group_starts = np.array(starts, dtype=np.intp)
-    group_index = np.array([terms[i][2] for i in starts],
-                           dtype=np.intp).reshape(len(starts), out_width)
-    return GroupedTermTable(n, k, constant, signs, factors, group_starts,
-                            group_index)
+@lru_cache(maxsize=None)
+def _pattern(q, f):
+    """Terms of one sorted (2q + f)-subset as (signs, ups, los).
+
+    ups[T] and los[T] are the upper and lower rows of term T as
+    positions in the subset: the f free positions, then q factor
+    blocks.  The lower rows are orderings of the non-free upper
+    positions followed by the free ones; that order fixes the order of
+    the terms within each slot, and with it the rounding of the sums.
+    """
+    m = 2 * q + f
+    signs, ups, los = [], [], []
+    for fu in itertools.combinations(range(m), f):
+        rest = [p for p in range(m) if p not in fu]
+        lowers = ascending_block_orderings(rest + list(fu), q)
+        for up in canonical_matchings(rest):
+            up = up + fu
+            for lo in lowers:
+                signs.append(relative_sign(lo, up))
+                # moving the free indices to the front of both rows
+                # crosses the same 2q indices twice: the sign stays
+                ups.append(up[2 * q:] + up[:2 * q])
+                los.append(lo[2 * q:] + lo[:2 * q])
+    return (np.array(signs, dtype=float),
+            np.array(ups, dtype=np.intp).reshape(-1, m),
+            np.array(los, dtype=np.intp).reshape(-1, m))
+
+
+def _delta_table(n, k, q, f, constant):
+    """Term table with q Riemann factors and f free index pairs at
+    dimension n; the slot of a term is its free upper then free lower
+    indices."""
+    m = 2 * q + f
+    if m > n:
+        # no subset, no terms: skip the pattern, which costs (2q + f)!
+        return GroupedTermTable(n, k, constant, signs=np.zeros(0),
+                                factors=np.zeros((0, 0, 4), dtype=np.intp),
+                                group_starts=np.zeros(0, dtype=np.intp),
+                                group_index=np.zeros((0, 2 * f), dtype=np.intp))
+    signs, ups, los = _pattern(q, f)
+    subsets = np.array(list(itertools.combinations(range(n), m)),
+                       dtype=np.intp).reshape(-1, m)
+    U = subsets[:, ups].reshape(-1, m)
+    L = subsets[:, los].reshape(-1, m)
+    slots = np.concatenate([U[:, :f], L[:, :f]], axis=1)
+    # each slot as one base-n number; the stable sort keeps the subset
+    # and pattern order of the terms within a slot
+    key = slots @ n ** np.arange(2 * f - 1, -1, -1)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    factors = np.concatenate([U[:, f:].reshape(len(U), q, 2),
+                              L[:, f:].reshape(len(L), q, 2)], axis=2)
+    return GroupedTermTable(n, k, constant,
+                            signs=np.tile(signs, len(subsets))[order],
+                            factors=factors[order],
+                            group_starts=starts,
+                            group_index=slots[order][starts])
 
 
 @lru_cache(maxsize=None)
@@ -198,16 +225,7 @@ def lovelock_scalar_table(n, k):
     L_k = constant * sum(sign * prod_t Rmix[u_{2t}, u_{2t+1}, l_{2t}, l_{2t+1}])
     with Rmix[a, b, c, d] = R_{ab}^{cd}.
     """
-    terms = []
-    for subset in itertools.combinations(range(n), 2 * k):
-        for up in canonical_matchings(subset):
-            for lo in ascending_block_orderings(subset, k):
-                sgn = relative_sign(lo, up)
-                fac = tuple((up[2 * t], up[2 * t + 1], lo[2 * t], lo[2 * t + 1])
-                            for t in range(k))
-                terms.append((sgn, fac, ()))
-    constant = float(2 ** k * math.factorial(k))
-    return _pack(n, k, constant, terms, 0)
+    return _delta_table(n, k, k, 0, float(2 ** k * math.factorial(k)))
 
 
 @lru_cache(maxsize=None)
@@ -216,24 +234,11 @@ def p_tensor_table(n, k):
 
     P^{stlm} = constant * C[s,t,a,b] g^{al} g^{bm} where C collects the
     delta-contracted products of (k-1) mixed Riemann factors.  Only
-    slots with s < t are stored; the s > t half is the negative.
+    slots (s, t, a, b) with s < t are stored; the s > t half is the
+    negative.
     """
-    terms = []
-    for s in range(n):
-        for t in range(s + 1, n):
-            pool = [a for a in range(n) if a not in (s, t)]
-            for sub in itertools.combinations(pool, 2 * k - 2):
-                block = list(sub) + [s, t]
-                ups = canonical_matchings(sub) if sub else [()]
-                for up_i in ups:
-                    up = tuple(up_i) + (s, t)
-                    for lo in ascending_block_orderings(block, k - 1):
-                        sgn = relative_sign(lo, up)
-                        fac = tuple((up[2 * q], up[2 * q + 1], lo[2 * q], lo[2 * q + 1])
-                                    for q in range(k - 1))
-                        terms.append((sgn, fac, (s, t, lo[2 * k - 2], lo[2 * k - 1])))
-    constant = 4.0 ** (k - 1) * math.factorial(k - 1) / 2.0 ** k
-    return _pack(n, k, constant, terms, 4)
+    return _delta_table(n, k, k - 1, 2,
+                        4.0 ** (k - 1) * math.factorial(k - 1) / 2.0 ** k)
 
 
 @lru_cache(maxsize=None)
@@ -243,20 +248,4 @@ def lovelock_einstein_table(n, k):
     E_{ij} = -(1/2^{k+1}) g_{li} D^l_j with D = constant * grouped sum of
     k mixed Riemann factors; slots are (l, j).
     """
-    terms = []
-    for subset in itertools.combinations(range(n), 2 * k + 1):
-        for l in subset:
-            rem_u = [a for a in subset if a != l]
-            for j in subset:
-                rem_l = [a for a in subset if a != j]
-                for up_i in canonical_matchings(rem_u):
-                    up = (l,) + tuple(up_i)
-                    for lo_i in ascending_block_orderings(rem_l, k):
-                        lo = (j,) + tuple(lo_i)
-                        sgn = relative_sign(lo, up)
-                        fac = tuple((up[1 + 2 * q], up[2 + 2 * q],
-                                     lo[1 + 2 * q], lo[2 + 2 * q])
-                                    for q in range(k))
-                        terms.append((sgn, fac, (l, j)))
-    constant = 4.0 ** k * math.factorial(k)
-    return _pack(n, k, constant, terms, 2)
+    return _delta_table(n, k, k, 1, 4.0 ** k * math.factorial(k))

@@ -6,6 +6,11 @@ stencils applied to metric values only, L_2 comes from the norm formula
 with loop-built curvature, and surface integrals go through an explicit
 hyperspherical-angle parametrization with difference-quotient
 fundamental forms.
+
+The reference term-table builders at the end are the library's former
+nested-loop builders: one Python loop per term, sharing only the
+enumeration helpers (matchings, block orderings, relative sign) and the
+table container with the array-indexed builder they check.
 """
 
 import itertools
@@ -13,6 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from lovelock_mass.multiindex import (GroupedTermTable,
+                                     ascending_block_orderings,
+                                     canonical_matchings, relative_sign)
 
 _MAX_BRUTE_ORDER = 5
 
@@ -493,3 +502,101 @@ def parametric_surface_integrals(surface, functional, nodes_polar=16,
     else:
         raise ValueError(f"unknown functional {functional!r}")
     return float(np.dot(weights, dA * vals))
+
+
+# ---------------------------------------------------------------------------
+# reference delta-contraction term tables
+
+
+def _pack(n, k, constant, terms, out_width):
+    """Sort raw (sign, factors, out_slot) terms into a GroupedTermTable."""
+    if not terms:
+        empty = np.zeros(0, dtype=np.intp)
+        return GroupedTermTable(
+            n, k, constant,
+            signs=np.zeros(0),
+            factors=np.zeros((0, 0, 4), dtype=np.intp),
+            group_starts=empty,
+            group_index=np.zeros((0, out_width), dtype=np.intp),
+        )
+    terms.sort(key=lambda t: t[2])
+    signs = np.array([t[0] for t in terms], dtype=float)
+    q = len(terms[0][1])
+    factors = np.array([t[1] for t in terms], dtype=np.intp).reshape(len(terms), q, 4)
+    starts = [0]
+    for i in range(1, len(terms)):
+        if terms[i][2] != terms[i - 1][2]:
+            starts.append(i)
+    group_starts = np.array(starts, dtype=np.intp)
+    group_index = np.array([terms[i][2] for i in starts],
+                           dtype=np.intp).reshape(len(starts), out_width)
+    return GroupedTermTable(n, k, constant, signs, factors, group_starts,
+                            group_index)
+
+
+def lovelock_scalar_table(n, k):
+    """Term table for the k-th Gauss-Bonnet curvature L_k at dimension n.
+
+    L_k = constant * sum(sign * prod_t Rmix[u_{2t}, u_{2t+1}, l_{2t}, l_{2t+1}])
+    with Rmix[a, b, c, d] = R_{ab}^{cd}.
+    """
+    terms = []
+    for subset in itertools.combinations(range(n), 2 * k):
+        for up in canonical_matchings(subset):
+            for lo in ascending_block_orderings(subset, k):
+                sgn = relative_sign(lo, up)
+                fac = tuple((up[2 * t], up[2 * t + 1], lo[2 * t], lo[2 * t + 1])
+                            for t in range(k))
+                terms.append((sgn, fac, ()))
+    constant = float(2 ** k * math.factorial(k))
+    return _pack(n, k, constant, terms, 0)
+
+
+def p_tensor_table(n, k):
+    """Term table for the coefficient tensor C of the rank-4 P field.
+
+    P^{stlm} = constant * C[s,t,a,b] g^{al} g^{bm} where C collects the
+    delta-contracted products of (k-1) mixed Riemann factors.  Only
+    slots with s < t are stored; the s > t half is the negative.
+    """
+    terms = []
+    for s in range(n):
+        for t in range(s + 1, n):
+            pool = [a for a in range(n) if a not in (s, t)]
+            for sub in itertools.combinations(pool, 2 * k - 2):
+                block = list(sub) + [s, t]
+                ups = canonical_matchings(sub) if sub else [()]
+                for up_i in ups:
+                    up = tuple(up_i) + (s, t)
+                    for lo in ascending_block_orderings(block, k - 1):
+                        sgn = relative_sign(lo, up)
+                        fac = tuple((up[2 * q], up[2 * q + 1], lo[2 * q], lo[2 * q + 1])
+                                    for q in range(k - 1))
+                        terms.append((sgn, fac, (s, t, lo[2 * k - 2], lo[2 * k - 1])))
+    constant = 4.0 ** (k - 1) * math.factorial(k - 1) / 2.0 ** k
+    return _pack(n, k, constant, terms, 4)
+
+
+def lovelock_einstein_table(n, k):
+    """Term table for the divergence-free curvature 2-tensor of order k.
+
+    E_{ij} = -(1/2^{k+1}) g_{li} D^l_j with D = constant * grouped sum of
+    k mixed Riemann factors; slots are (l, j).
+    """
+    terms = []
+    for subset in itertools.combinations(range(n), 2 * k + 1):
+        for l in subset:
+            rem_u = [a for a in subset if a != l]
+            for j in subset:
+                rem_l = [a for a in subset if a != j]
+                for up_i in canonical_matchings(rem_u):
+                    up = (l,) + tuple(up_i)
+                    for lo_i in ascending_block_orderings(rem_l, k):
+                        lo = (j,) + tuple(lo_i)
+                        sgn = relative_sign(lo, up)
+                        fac = tuple((up[1 + 2 * q], up[2 + 2 * q],
+                                     lo[1 + 2 * q], lo[2 + 2 * q])
+                                    for q in range(k))
+                        terms.append((sgn, fac, (l, j)))
+    constant = 4.0 ** k * math.factorial(k)
+    return _pack(n, k, constant, terms, 2)

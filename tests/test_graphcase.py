@@ -338,3 +338,24 @@ def test_horizon_dimension_mismatch_is_typed():
         graphcase.penrose_report(f, sigma, rule=rule)
     with pytest.raises(ValueError, match="horizon in R"):
         graphcase.horizon_boundary_term(f, sigma, rule)
+
+
+def test_egb_graph_penrose_checks_its_horizon_first(monkeypatch):
+    rule = quadrature.sphere_rule(5, 2)
+    fe = graphcase.egb_graph(5, 0.05, 1.0)
+    # sigma defaults to the graph's own horizon, as in adm_graph_mass
+    assert graphcase.egb_graph_penrose(fe, None, 0.05, rule=rule,
+                                       radial_level=8) == \
+        graphcase.egb_graph_penrose(fe, fe.horizon, 0.05, rule=rule,
+                                    radial_level=8)
+
+    def no_bulk(*args, **kwargs):
+        raise AssertionError("bulk integral before the horizon check")
+
+    monkeypatch.setattr(quadrature, "ball_integral", no_bulk)
+    lin = graphcase.linear_graph(5, np.array([0.3, 0, 0, 0, 0]))
+    with pytest.raises(ValueError, match="horizon surface required"):
+        graphcase.egb_graph_penrose(lin, None, 0.05, rule=rule)
+    with pytest.raises(ValueError, match="horizon in R"):
+        graphcase.egb_graph_penrose(fe, graphcase.sphere_surface(6, 4.0),
+                                    0.05, rule=rule)

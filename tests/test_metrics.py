@@ -44,6 +44,33 @@ def test_evaluators_take_a_point_or_one_batch_axis():
         curvature.riemann(f.metric, x)
 
 
+class _Truncated(metrics.RadialProfile):
+    """A profile whose derivatives above order top raise."""
+
+    def __init__(self, expr, symbol, top):
+        super().__init__(expr, symbol)
+        self.top = top
+
+    def _eval(self, order, r):
+        if order > self.top:
+            raise AssertionError(f"profile derivative {order} evaluated")
+        return super()._eval(order, r)
+
+
+def test_radial_evaluators_take_only_the_jets_they_return():
+    r = sp.Symbol("r", positive=True)
+    a, b = 1 + 1 / (2 * r ** 3), 1 / (1 + r ** 2)
+    plain = metrics.radial_metric(5, metrics.RadialProfile(a, r),
+                                  metrics.RadialProfile(b, r), tau=1.0)
+    x = _random_points(np.random.default_rng(7), 5, 16)
+    for top, name in ((0, "eval_g"), (1, "eval_dg"), (2, "eval_d2g")):
+        g = metrics.radial_metric(5, _Truncated(a, r, top),
+                                  _Truncated(b, r, top), tau=1.0)
+        assert np.array_equal(getattr(g, name)(x), getattr(plain, name)(x))
+        with pytest.raises(AssertionError, match="derivative"):
+            g.eval_d3g(x)
+
+
 def test_analytic_derivatives_match_finite_differences():
     rng = np.random.default_rng(10)
     for g in _families():

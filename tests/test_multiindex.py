@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -58,13 +57,6 @@ def test_delta_order_guard():
         mi.gen_kronecker_delta((0, 1), (0,))
 
 
-def test_antisymmetric_index_pairs_counts():
-    subsets = list(mi.antisymmetric_index_pairs(4, 2))
-    assert len(subsets) == 1 and subsets[0][1] == math.factorial(4)
-    assert len(list(mi.antisymmetric_index_pairs(5, 2))) == 5
-    assert list(mi.antisymmetric_index_pairs(3, 2)) == []
-
-
 def test_permutation_sign_cycles():
     assert mi.permutation_sign((1, 2, 0)) == 1
     assert mi.permutation_sign((0, 2, 1)) == -1
@@ -100,3 +92,37 @@ def test_scalar_table_matches_raw_delta_contraction():
         raw /= 2.0 ** k
         lib = float(curvature.lovelock_L(k, f.metric, x, bund=bund)[0])
         assert abs(raw - lib) <= 1e-10 * (1.0 + abs(lib))
+
+
+def _term_rows(table):
+    """(sign, factors, slot) of every term, as rows in sorted order."""
+    T = len(table.signs)
+    slot = np.repeat(table.group_index,
+                     np.diff(table.group_starts, append=T), axis=0)
+    rows = np.column_stack([table.signs,
+                            table.factors.reshape(T, 4 * table.factors.shape[1]),
+                            slot])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def test_term_tables_match_reference_builders():
+    # the array-indexed builder against the nested-loop builders it
+    # replaced: L and P keep every array, E may reorder terms within a
+    # slot; 2k > n gives empty tables.  L(8, 4) is left out for time.
+    cases = [(n, k) for n in range(4, 8) for k in range(1, n // 2 + 2)]
+    cases += [(8, k) for k in (1, 2, 3)]
+    for n, k in cases:
+        for name in ("lovelock_scalar_table", "p_tensor_table",
+                     "lovelock_einstein_table"):
+            new = getattr(mi, name)(n, k)
+            ref = getattr(oracles, name)(n, k)
+            assert (new.n, new.k, new.constant) == (ref.n, ref.k, ref.constant)
+            fields = ("group_starts", "group_index")
+            if name == "lovelock_einstein_table":
+                assert np.array_equal(_term_rows(new), _term_rows(ref)), (n, k)
+            else:
+                fields += ("signs", "factors")
+            for field in fields:
+                a, b = getattr(new, field), getattr(ref, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), \
+                    (name, n, k, field)
