@@ -187,14 +187,20 @@ def _rule_from(cfg, n):
     return quadrature.sphere_rule(n, level)
 
 
-def cmd_mass(args):
+def _flux_inputs(args):
+    """Merged config plus the metric, radii, rule and order k it names."""
     cfg = _merge_flags(_load_config(args.config), args)
     g = _build_metric(cfg.get("metric", {}))
     mass_cfg = cfg.get("mass", {})
     radii = _radii(mass_cfg)
     rule = _rule_from(cfg, g.n)
-    which = mass_cfg.get("as")
     k = int(mass_cfg.get("k", cfg.get("metric", {}).get("k", 2)))
+    return cfg, g, radii, rule, k
+
+
+def cmd_mass(args):
+    cfg, g, radii, rule, k = _flux_inputs(args)
+    which = cfg.get("mass", {}).get("as")
     if which is None:
         which = {1: "adm", 2: "gbc"}.get(k, "mk")
     alpha = float(cfg.get("alpha", cfg.get("metric", {}).get("alpha", 0.0)))
@@ -210,12 +216,7 @@ def cmd_mass(args):
 
 
 def cmd_flux(args):
-    cfg = _merge_flags(_load_config(args.config), args)
-    g = _build_metric(cfg.get("metric", {}))
-    mass_cfg = cfg.get("mass", {})
-    radii = _radii(mass_cfg)
-    rule = _rule_from(cfg, g.n)
-    k = int(mass_cfg.get("k", cfg.get("metric", {}).get("k", 2)))
+    _, g, radii, rule, k = _flux_inputs(args)
     series = massmod.FluxSeries(
         radii=radii, flux=np.array([massmod.flux("mk", g, r, rule, k=k)
                                     for r in radii]),

@@ -13,6 +13,14 @@ E^(k), and the rank-4 flux tensors P_(k).
 All operations are batched over points; a CurvatureBundle holds the
 arrays for one batch, and callers that need several curvature objects
 on the same batch compute it once and pass it on with bund=.
+
+Every einsum here with three or more operands passes optimize=True, so
+numpy contracts it pairwise instead of in one loop nest over all its
+indices (n^8 per point for the Weyl raise).  Every operand carries the
+point index x, so each pairwise step is a matmul batched over points,
+one product of at most n^5 multiply-adds per point; the results do not
+depend on the BLAS thread count (the CLI rerun test compares outputs at
+one and two threads).
 """
 
 import warnings
@@ -47,8 +55,7 @@ class CurvatureBundle:
 
     Index layout mirrors the formulas: gamma[..., k, i, j] = Gamma^k_ij,
     riemann_lo[..., i, j, k, l] = R_ijkl, riemann_mix[..., a, b, c, d]
-    = R_ab^cd, riemann_hi fully raised, ricci[..., i, k] = R_ik,
-    scalar[...] = R.
+    = R_ab^cd, ricci[..., i, k] = R_ik, scalar[...] = R.
     """
 
     g: np.ndarray
@@ -57,7 +64,6 @@ class CurvatureBundle:
     gamma: np.ndarray
     riemann_lo: np.ndarray
     riemann_mix: np.ndarray
-    riemann_hi: np.ndarray
     ricci: np.ndarray
     scalar: np.ndarray
 
@@ -72,7 +78,7 @@ def _christoffel_arrays(g, pts):
     gamma = 0.5 * np.einsum('xks,xsij->xkij', ginv, U)
     dU = (d2g + d2g.transpose(0, 1, 3, 2, 4)
           - d2g.transpose(0, 3, 1, 2, 4))
-    dginv = -np.einsum('xka,xabl,xbs->xksl', ginv, dg, ginv)
+    dginv = -np.einsum('xka,xabl,xbs->xksl', ginv, dg, ginv, optimize=True)
     dgamma = 0.5 * (np.einsum('xksl,xsij->xkijl', dginv, U)
                     + np.einsum('xks,xsijl->xkijl', ginv, dU))
     return gv, ginv, dg, gamma, dgamma
@@ -88,13 +94,13 @@ def riemann(g, x):
                 + np.einsum('xmis,xsjk->xmijk', gamma, gamma)
                 - np.einsum('xmjs,xsik->xmijk', gamma, gamma))
     riemann_lo = np.einsum('xmijl,xmk->xijkl', r_updown, gv)
-    riemann_mix = np.einsum('xijef,xec,xfd->xijcd', riemann_lo, ginv, ginv)
-    riemann_hi = np.einsum('xabcd,xae,xbf->xefcd', riemann_mix, ginv, ginv)
+    riemann_mix = np.einsum('xijef,xec,xfd->xijcd', riemann_lo, ginv, ginv,
+                            optimize=True)
     ricci = np.einsum('xjl,xijkl->xik', ginv, riemann_lo)
     scalar = np.einsum('xik,xik->x', ginv, ricci)
     return CurvatureBundle(g=gv, ginv=ginv, dg=dg, gamma=gamma,
                            riemann_lo=riemann_lo, riemann_mix=riemann_mix,
-                           riemann_hi=riemann_hi, ricci=ricci, scalar=scalar)
+                           ricci=ricci, scalar=scalar)
 
 
 def _gathered_products(table, rmix):
@@ -150,48 +156,35 @@ def lovelock_L(k, g, x, bund=None):
     return out[0] if single else out
 
 
+def _ricci_norm_sq(bund):
+    """|Ric|^2 = R_ij R^ij at each point."""
+    ric_up = np.einsum('xia,xab,xbj->xij', bund.ginv, bund.ricci, bund.ginv,
+                       optimize=True)
+    return np.einsum('xij,xij->x', bund.ricci, ric_up)
+
+
 def gauss_bonnet_L2_direct(g, x, bund=None):
     """L_2 from curvature norms: |Rm|^2 - 4 |Ric|^2 + R^2."""
     pts, single = _metrics._batch(x)
     if bund is None:
         bund = riemann(g, pts)
-    norm_rm = np.einsum('xijkl,xijkl->x', bund.riemann_lo, bund.riemann_hi)
-    ric_up = np.einsum('xia,xab,xbj->xij', bund.ginv, bund.ricci, bund.ginv)
-    norm_ric = np.einsum('xij,xij->x', bund.ricci, ric_up)
-    out = norm_rm - 4.0 * norm_ric + bund.scalar ** 2
+    norm_rm = np.einsum('xabcd,xcdab->x', bund.riemann_mix, bund.riemann_mix)
+    out = norm_rm - 4.0 * _ricci_norm_sq(bund) + bund.scalar ** 2
     return out[0] if single else out
 
 
 def p_tensor(g, x, bund=None):
-    """The rank-4 flux tensor entering the second-order mass integrand.
-
-    Returns the array P[..., i, j, k, l] = P^{ijkl} with
-    P^{ijkl} = R^{ijkl} + R^{jk} g^{il} - R^{jl} g^{ik} - R^{ik} g^{jl}
-               + R^{il} g^{jk} + (R/2)(g^{ik} g^{jl} - g^{il} g^{jk}).
-    """
-    pts, single = _metrics._batch(x)
-    if bund is None:
-        bund = riemann(g, pts)
-    ginv = bund.ginv
-    ric_up = np.einsum('xia,xab,xbj->xij', ginv, bund.ricci, ginv)
-    R = bund.scalar
-    P = (bund.riemann_hi
-         + np.einsum('xjk,xil->xijkl', ric_up, ginv)
-         - np.einsum('xjl,xik->xijkl', ric_up, ginv)
-         - np.einsum('xik,xjl->xijkl', ric_up, ginv)
-         + np.einsum('xil,xjk->xijkl', ric_up, ginv)
-         + 0.5 * R[:, None, None, None, None]
-         * (np.einsum('xik,xjl->xijkl', ginv, ginv)
-            - np.einsum('xil,xjk->xijkl', ginv, ginv)))
-    return P[0] if single else P
+    """The rank-4 flux tensor P^{ijkl} of the second-order mass: P_(2)."""
+    return p_tensor_general(2, g, x, bund=bund)
 
 
 def p_tensor_general(k, g, x, bund=None):
     """The order-k rank-4 flux tensor P_(k) via the delta-contraction table.
 
-    P_(1)^{ijlm} = (g^{il} g^{jm} - g^{im} g^{jl}) / 2; P_(2) agrees with
-    p_tensor.  Returns the array P[..., i, j, l, m] = P_(k)^{ijlm}, all
-    zeros with a warning when 2k > n.
+    P_(1)^{ijlm} = (g^{il} g^{jm} - g^{im} g^{jl}) / 2; P_(2) is p_tensor,
+    checked against its closed form in Ricci terms by the tests.  Returns
+    the array P[..., i, j, l, m] = P_(k)^{ijlm}, all zeros with a warning
+    when 2k > n.
     """
     pts, single = _metrics._batch(x)
     n = g.n
@@ -205,7 +198,8 @@ def p_tensor_general(k, g, x, bund=None):
     C = _slot_sums(table, bund.riemann_mix)
     C = C - C.transpose(0, 2, 1, 3, 4)
     ginv = bund.ginv
-    P = table.constant * np.einsum('xstab,xal,xbm->xstlm', C, ginv, ginv)
+    P = table.constant * np.einsum('xstab,xal,xbm->xstlm', C, ginv, ginv,
+                                   optimize=True)
     return P[0] if single else P
 
 
@@ -242,11 +236,11 @@ def weyl_sigma2_split(g, x, bund=None):
     R = bund.scalar
     schouten = (bund.ricci - (R / (2.0 * (n - 1)))[:, None, None] * gv) / (n - 2)
     W = bund.riemann_lo - kulkarni_nomizu(schouten, gv)
-    W_hi = np.einsum('xijkl,xia,xjb,xkc,xld->xabcd', W, ginv, ginv, ginv, ginv)
+    W_hi = np.einsum('xijkl,xia,xjb,xkc,xld->xabcd', W, ginv, ginv, ginv, ginv,
+                     optimize=True)
     weyl_norm_sq = np.einsum('xijkl,xijkl->x', W, W_hi)
-    ric_up = np.einsum('xia,xab,xbj->xij', ginv, bund.ricci, ginv)
-    norm_ric = np.einsum('xij,xij->x', bund.ricci, ric_up)
-    sigma2 = (n * R ** 2 / (n - 1) - 4.0 * norm_ric) / (8.0 * (n - 2) ** 2)
+    sigma2 = ((n * R ** 2 / (n - 1) - 4.0 * _ricci_norm_sq(bund))
+              / (8.0 * (n - 2) ** 2))
     if single:
         return weyl_norm_sq[0], sigma2[0]
     return weyl_norm_sq, sigma2

@@ -275,7 +275,7 @@ def _fit_power_law(r, f):
     for start in {s0, 1.0, 2.0, 4.0}:
         try:
             sol = least_squares(fun, x0=[start], bounds=([1e-3], [50.0]))
-        except Exception:
+        except ValueError:
             continue
         coef, res = solve_linear(sol.x[0])
         cand_fit = (coef[0], coef[1], sol.x[0], float(np.max(np.abs(res))))
@@ -310,7 +310,7 @@ def _fit_saturating(r, f, s_hint):
             x0 = [fa[-1], c0, max(s_hint, 0.05), pw0]
             try:
                 sol = least_squares(model, x0=x0, method="lm", max_nfev=4000)
-            except Exception:
+            except ValueError:
                 continue
             res = float(np.max(np.abs(model(sol.x))))
             if best is None or res < best[2]:

@@ -7,6 +7,9 @@ with loop-built curvature, and surface integrals go through an explicit
 hyperspherical-angle parametrization with difference-quotient
 fundamental forms.
 
+p_tensor_closed_form is the Ricci-form closed formula for P_(2) on the
+library's curvature bundle, the reference for the delta-table tensor.
+
 The reference term-table builders at the end are the library's former
 nested-loop builders: one Python loop per term, sharing only the
 enumeration helpers (matchings, block orderings, relative sign) and the
@@ -502,6 +505,30 @@ def parametric_surface_integrals(surface, functional, nodes_polar=16,
     else:
         raise ValueError(f"unknown functional {functional!r}")
     return float(np.dot(weights, dA * vals))
+
+
+# ---------------------------------------------------------------------------
+# closed-form second-order flux tensor
+
+
+def p_tensor_closed_form(bund):
+    """P^{ijkl} = R^{ijkl} + R^{jk} g^{il} - R^{jl} g^{ik} - R^{ik} g^{jl}
+    + R^{il} g^{jk} + (R/2)(g^{ik} g^{jl} - g^{il} g^{jk})
+    on a curvature bundle, indices raised here from riemann_lo and ricci."""
+    ginv = bund.ginv
+    rm_up = np.einsum('xabcd,xai,xbj,xck,xdl->xijkl', bund.riemann_lo,
+                      ginv, ginv, ginv, ginv, optimize=True)
+    ric_up = np.einsum('xia,xab,xbj->xij', ginv, bund.ricci, ginv,
+                       optimize=True)
+    R = bund.scalar
+    return (rm_up
+            + np.einsum('xjk,xil->xijkl', ric_up, ginv)
+            - np.einsum('xjl,xik->xijkl', ric_up, ginv)
+            - np.einsum('xik,xjl->xijkl', ric_up, ginv)
+            + np.einsum('xil,xjk->xijkl', ric_up, ginv)
+            + 0.5 * R[:, None, None, None, None]
+            * (np.einsum('xik,xjl->xijkl', ginv, ginv)
+               - np.einsum('xil,xjk->xijkl', ginv, ginv)))
 
 
 # ---------------------------------------------------------------------------

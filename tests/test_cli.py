@@ -37,20 +37,23 @@ def test_mass_schwarzschild_value(tmp_path, capsys):
 def test_rerun_bit_identical(tmp_path):
     # reruns in fresh interpreters at BLAS thread counts 1 and 2 must write
     # the same bytes; exit 2 (fit warning from the saturating model) is
-    # fine here
-    argv = ["mass", "--metric", "schwarzschild", "--k", "2", "--n", "5",
-            "--m", "1.0", "--quad-level", "2"]
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.json"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-m", "lovelock_mass.cli", *argv,
-             "--out", str(out)], env=env, capture_output=True, text=True,
-            timeout=600)
-        assert proc.returncode in (0, 2), proc.stderr
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    # fine here.  The verify run covers the planned five-operand Weyl raise.
+    argvs = (["mass", "--metric", "schwarzschild", "--k", "2", "--n", "5",
+              "--m", "1.0", "--quad-level", "2"],
+             ["verify", "--suite", "sigma2", "--n", "6", "--seed", "1"])
+    for argv in argvs:
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{argv[0]}-threads{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=SRC)
+            proc = subprocess.run(
+                [sys.executable, "-m", "lovelock_mass.cli", *argv,
+                 "--out", str(out)], env=env, capture_output=True, text=True,
+                timeout=600)
+            assert proc.returncode in (0, 2), proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], argv
 
 
 def test_flux_csv_header(tmp_path):

@@ -165,19 +165,28 @@ def test_p_tensor_general_reductions():
     expected = 0.5 * (np.einsum('xik,xjl->xijkl', bund.ginv, bund.ginv)
                       - np.einsum('xil,xjk->xijkl', bund.ginv, bund.ginv))
     assert np.abs(P1 - expected).max() < 1e-12
+    lk = curvature.lovelock_L(1, g, pts, bund=bund)
+    contracted = np.einsum('xijkl,xijkl->x', P1, bund.riemann_lo)
+    assert np.abs(contracted - lk).max() < 1e-9 * (1 + np.abs(lk).max())
     # flat P_(1)^{1212} = 1/2
     flat = metrics.euclidean(5)
     x0 = np.zeros((1, 5))
     P1f = curvature.p_tensor_general(1, flat, x0)
     assert float(P1f[0, 0, 1, 0, 1]) == pytest.approx(0.5)
-    # k=2 general path equals the closed-form P
-    P2 = curvature.p_tensor_general(2, g, pts, bund=bund)
-    Pc = curvature.p_tensor(g, pts, bund=bund)
-    assert np.abs(P2 - Pc).max() < 1e-10
-    # contraction identity P_(k) . Rm = L_k for k in {1, 2}
-    for k, P in ((1, P1), (2, P2)):
-        lk = curvature.lovelock_L(k, g, pts, bund=bund)
-        contracted = np.einsum('xijkl,xijkl->x', P, bund.riemann_lo)
+    # k=2: the delta-table tensor equals the closed-form P, and
+    # P_(2) . Rm = L_2, at every dimension the second-order flux runs in
+    for n in (5, 6, 7, 8):
+        g = _bump_graph(n).metric
+        pts = _points(rng, n, 10)
+        bund = curvature.riemann(g, pts)
+        P2 = curvature.p_tensor_general(2, g, pts, bund=bund)
+        Pc = oracles.p_tensor_closed_form(bund)
+        scale = np.abs(Pc).max()
+        assert scale > 1e-3
+        assert np.abs(P2 - Pc).max() < 1e-12 * scale
+        assert np.array_equal(curvature.p_tensor(g, pts, bund=bund), P2)
+        lk = curvature.lovelock_L(2, g, pts, bund=bund)
+        contracted = np.einsum('xijkl,xijkl->x', P2, bund.riemann_lo)
         assert np.abs(contracted - lk).max() < 1e-9 * (1 + np.abs(lk).max())
 
 

@@ -184,3 +184,41 @@ def test_mass_estimate_dict_roundtrip():
     # repr round-trip keeps all 17 significant digits
     assert back["value"] == doc["value"]
     assert len(back["samples"]) == 4
+
+
+def _failing_first_start(monkeypatch, exc):
+    # least_squares that raises exc on the first start of each fit
+    # (the power-law fit passes bounds, the saturating fit method="lm")
+    real = massmod.least_squares
+    seen = set()
+
+    def fake(fun, x0, **kw):
+        key = kw.get("method", "trf")
+        if key not in seen:
+            seen.add(key)
+            raise exc("injected")
+        return real(fun, x0, **kw)
+
+    monkeypatch.setattr(massmod, "least_squares", fake)
+    return seen
+
+
+def test_fit_lets_unexpected_errors_through(monkeypatch):
+    _failing_first_start(monkeypatch, RuntimeError)
+    radii = np.array([10.0, 20.0, 40.0, 80.0])
+    series = massmod.FluxSeries(radii=radii, flux=2.0 + 5.0 * radii ** -3.0,
+                                integrand_id="t")
+    with pytest.raises(RuntimeError, match="injected"):
+        massmod.extrapolate_limit(series)
+
+
+def test_fit_skips_a_start_that_raises_value_error(monkeypatch):
+    seen = _failing_first_start(monkeypatch, ValueError)
+    radii = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
+    # needs the saturating model, so both fits lose their first start
+    series = massmod.FluxSeries(
+        radii=radii, flux=0.8 * (1.0 + 0.5 / radii) ** -2.0, integrand_id="t")
+    est = massmod.extrapolate_limit(series)
+    assert seen == {"trf", "lm"}
+    assert est.model == "saturating"
+    assert est.value == pytest.approx(0.8, rel=1e-8)
