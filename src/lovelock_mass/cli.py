@@ -358,10 +358,10 @@ def cmd_verify(args):
 def cmd_penrose(args):
     cfg = _merge_flags(_load_config(args.config), args)
     mcfg = cfg.get("metric", {})
-    f = _build_graph(mcfg)
-    n = int(mcfg.get("n", 0) or (f.n if f is not None else 0))
+    n = int(mcfg.get("n", 0))
     if not 4 <= n <= _MAX_DIMENSION:
         return _fail(f"need metric.n in [4, {_MAX_DIMENSION}]")
+    f = _build_graph(mcfg)
     horizon = _build_horizon(cfg.get("horizon"), n)
     if horizon is None and f is not None:
         horizon = f.horizon

@@ -10,6 +10,11 @@ and the derived objects: scalar curvature, Weyl/sigma_2 split, the
 Gauss-Bonnet curvatures L_k, the divergence-free curvature 2-tensors
 E^(k), and the rank-4 flux tensors P_(k).
 
+riemann takes Gamma and R_ijkl by one of two routes: from the metric's
+closed-form eval_curvature when it has one (graph metrics, by the Gauss
+equation), else by differentiating Gamma with its eval_d2g.  The other
+bundle fields are built the same way on both routes.
+
 All operations are batched over points; a CurvatureBundle holds the
 arrays for one batch, and callers that need several curvature objects
 on the same batch compute it once and pass it on with bund=.
@@ -68,11 +73,9 @@ class CurvatureBundle:
     scalar: np.ndarray
 
 
-def _christoffel_arrays(g, pts):
-    gv = g.eval_g(pts)
-    dg = g.eval_dg(pts)
+def _christoffel_curvature(g, pts, gv, dg, ginv):
+    """(gamma, riemann_lo) by differentiating the Christoffel symbols."""
     d2g = g.eval_d2g(pts)
-    ginv = np.linalg.inv(gv)
     # U[x,s,i,j] = d_j g_si + d_i g_sj - d_s g_ij
     U = dg + dg.transpose(0, 1, 3, 2) - dg.transpose(0, 3, 1, 2)
     gamma = 0.5 * np.einsum('xks,xsij->xkij', ginv, U)
@@ -81,19 +84,24 @@ def _christoffel_arrays(g, pts):
     dginv = -np.einsum('xka,xabl,xbs->xksl', ginv, dg, ginv, optimize=True)
     dgamma = 0.5 * (np.einsum('xksl,xsij->xkijl', dginv, U)
                     + np.einsum('xks,xsijl->xkijl', ginv, dU))
-    return gv, ginv, dg, gamma, dgamma
-
-
-def riemann(g, x):
-    """Full curvature bundle at a batch of points."""
-    pts, _ = _metrics._batch(x)
-    gv, ginv, dg, gamma, dgamma = _christoffel_arrays(g, pts)
     # R^m_{ijk} = d_i Gamma^m_jk - d_j Gamma^m_ik + Gamma Gamma terms
     r_updown = (np.einsum('xmjki->xmijk', dgamma)
                 - np.einsum('xmikj->xmijk', dgamma)
                 + np.einsum('xmis,xsjk->xmijk', gamma, gamma)
                 - np.einsum('xmjs,xsik->xmijk', gamma, gamma))
-    riemann_lo = np.einsum('xmijl,xmk->xijkl', r_updown, gv)
+    return gamma, np.einsum('xmijl,xmk->xijkl', r_updown, gv)
+
+
+def riemann(g, x):
+    """Full curvature bundle at a batch of points."""
+    pts, _ = _metrics._batch(x)
+    gv = g.eval_g(pts)
+    dg = g.eval_dg(pts)
+    ginv = np.linalg.inv(gv)
+    if g.eval_curvature is not None:
+        gamma, riemann_lo = g.eval_curvature(pts)
+    else:
+        gamma, riemann_lo = _christoffel_curvature(g, pts, gv, dg, ginv)
     riemann_mix = np.einsum('xijef,xec,xfd->xijcd', riemann_lo, ginv, ginv,
                             optimize=True)
     ricci = np.einsum('xjl,xijkl->xik', ginv, riemann_lo)

@@ -59,17 +59,16 @@ __all__ = [
 class GraphFunction:
     """A graph function over (a region of) R^n with batched derivatives.
 
-    grad/hess/third map (B, n) points to arrays with 1/2/3 trailing
-    index axes.  tau is the decay order of the induced metric
-    (grad = O(r^(-tau/2))).  horizon optionally describes the inner
-    boundary where |grad f| blows up, r_min the radius below which the
-    graph is not defined.
+    grad/hess map (B, n) points to arrays with 1/2 trailing index axes;
+    the induced metric takes its curvature from these two alone.  tau is
+    the decay order of the induced metric (grad = O(r^(-tau/2))).
+    horizon optionally describes the inner boundary where |grad f| blows
+    up, r_min the radius below which the graph is not defined.
     """
 
     n: int
     grad: Callable
     hess: Callable
-    third: Callable
     tau: float
     horizon: Optional["Ellipsoid"] = None
     r_min: float = 0.0
@@ -87,8 +86,8 @@ class GraphFunction:
 def radial_graph(n, slope, tau, r_min=0.0, horizon=None, name="radial-graph"):
     """Rotationally symmetric graph from its radial slope profile f'(r).
 
-    Derivatives of f through third order follow from the slope and its
-    first two derivatives; the value of f itself is never needed.
+    The gradient and Hessian of f follow from the slope and its first
+    derivative; the value of f itself is never needed.
     """
 
     def jet(order):
@@ -102,8 +101,8 @@ def radial_graph(n, slope, tau, r_min=0.0, horizon=None, name="radial-graph"):
             return next(itertools.islice(jets, order, None))
         return ev
 
-    return GraphFunction(n=n, grad=jet(0), hess=jet(1), third=jet(2),
-                         tau=tau, horizon=horizon, r_min=r_min, name=name)
+    return GraphFunction(n=n, grad=jet(0), hess=jet(1), tau=tau,
+                         horizon=horizon, r_min=r_min, name=name)
 
 
 def schwarzschild_slope_profile(k, n, m):
@@ -117,8 +116,11 @@ def schwarzschild_graph(n, m, k=2):
     """Graph realization of the k-th static family (rho chart).
 
     The horizon is the round sphere of radius rho_0 with
-    rho_0^(n/k-2) = 2m, where the slope blows up.
+    rho_0^(n/k-2) = 2m, where the slope blows up.  Requires
+    1 <= k < n/2 and m > 0.
     """
+    if not (isinstance(k, (int, np.integer)) and 1 <= k < n / 2):
+        raise ValueError("require integer 1 <= k < n/2")
     if m <= 0:
         raise ValueError("graph realization requires m > 0")
     q = n / k - 2.0
@@ -171,17 +173,8 @@ def gaussian_bump_graph(n, centers, amplitudes, widths, name="bumps"):
         return (np.einsum('ba,bai,baj->bij', E / w2 ** 2, y, y)
                 - np.einsum('ba,ij->bij', E / w2, eye))
 
-    def third(x):
-        y, E = _parts(x)
-        w2 = widths[None, :] ** 2
-        t1 = -np.einsum('ba,bai,baj,bak->bijk', E / w2 ** 3, y, y, y)
-        t2 = (np.einsum('ba,ij,bak->bijk', E / w2 ** 2, eye, y)
-              + np.einsum('ba,ik,baj->bijk', E / w2 ** 2, eye, y)
-              + np.einsum('ba,jk,bai->bijk', E / w2 ** 2, eye, y))
-        return t1 + t2
-
-    return GraphFunction(n=n, grad=grad, hess=hess, third=third,
-                         tau=float("inf"), name=name)
+    return GraphFunction(n=n, grad=grad, hess=hess, tau=float("inf"),
+                         name=name)
 
 
 def sum_graph(*parts, name="sum"):
@@ -196,13 +189,10 @@ def sum_graph(*parts, name="sum"):
     def hess(x):
         return sum(p.hess(x) for p in parts)
 
-    def third(x):
-        return sum(p.third(x) for p in parts)
-
     tau = min(p.tau for p in parts)
     r_min = max(p.r_min for p in parts)
-    return GraphFunction(n=n, grad=grad, hess=hess, third=third, tau=tau,
-                         r_min=r_min, name=name)
+    return GraphFunction(n=n, grad=grad, hess=hess, tau=tau, r_min=r_min,
+                         name=name)
 
 
 def linear_graph(n, v):
@@ -213,14 +203,11 @@ def linear_graph(n, v):
         pts = np.asarray(x, dtype=float)
         return np.broadcast_to(v, pts.shape).copy()
 
-    def zeros(extra):
-        def ev(x):
-            pts = np.asarray(x, dtype=float)
-            return np.zeros((len(pts),) + (n,) * extra)
-        return ev
+    def hess(x):
+        return np.zeros((len(x), n, n))
 
-    return GraphFunction(n=n, grad=grad, hess=zeros(2), third=zeros(3),
-                         tau=float("inf"), name="linear")
+    return GraphFunction(n=n, grad=grad, hess=hess, tau=float("inf"),
+                         name="linear")
 
 
 def quadratic_graph(n, H, v=None, name="quadratic"):
@@ -236,12 +223,7 @@ def quadratic_graph(n, H, v=None, name="quadratic"):
         pts = np.asarray(x, dtype=float)
         return np.broadcast_to(H, (len(pts), n, n)).copy()
 
-    def third(x):
-        pts = np.asarray(x, dtype=float)
-        return np.zeros((len(pts), n, n, n))
-
-    return GraphFunction(n=n, grad=grad, hess=hess, third=third,
-                         tau=2.0, name=name)
+    return GraphFunction(n=n, grad=grad, hess=hess, tau=2.0, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +392,8 @@ class Ellipsoid:
         norm = np.linalg.norm(Dx, axis=-1)
         nu = Dx / norm[:, None]
         P = np.eye(self.n)[None] - nu[:, :, None] * nu[:, None, :]
-        return np.einsum('xab,b,xbc->xac', P, 1.0 / a2, P) / norm[:, None, None]
+        return (np.einsum('xab,b,xbc->xac', P, 1.0 / a2, P, optimize=True)
+                / norm[:, None, None])
 
     def principal_curvatures(self, x):
         """Principal curvatures at surface points (batched)."""

@@ -97,9 +97,12 @@ class MassEstimate:
 
 
 def default_radii(r0=20.0, ratio=2.0, count=4):
-    """Geometric radius schedule r0 * ratio^j."""
+    """Geometric radius schedule r0 * ratio^j, increasing from r0 > 0."""
     if count < 4:
         raise ValueError("need at least 4 radii for extrapolation")
+    if not (r0 > 0 and ratio > 1):
+        raise ValueError(f"radius schedule needs r0 > 0 and ratio > 1, "
+                         f"got r0={r0!r}, ratio={ratio!r}")
     return r0 * ratio ** np.arange(count)
 
 

@@ -1,4 +1,4 @@
-"""Closed-form metric families with analytic derivatives to third order.
+"""Closed-form metric families and their pointwise derivative evaluators.
 
 Every metric is presented in a single Cartesian chart on (a subset of)
 R^n.  Rotationally symmetric families A(rho) drho^2 + rho^2 dTheta^2
@@ -10,12 +10,13 @@ Evaluator conventions
 Evaluators take a point (n,) or a batch (B, n), and raise ValueError on
 more leading axes.  g has shape (..., n, n), dg (..., n, n, n) with the
 derivative index last (dg[..., i, j, k] = d_k g_ij), and so on through
-d3g with three trailing derivative indices; ... is () or (B,).
+d3g with three trailing derivative indices; ... is () or (B,).  Graph
+metrics give their curvature by eval_curvature instead of d2g and d3g.
 """
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 import sympy as sp
@@ -110,21 +111,24 @@ class MetricField:
     ------
     n : dimension (>= 4 for all mass computations)
     eval_g, eval_dg, eval_d2g, eval_d3g : batched evaluators, see module
-        docstring for the index layout
+        docstring for the index layout (d2g and d3g may be None)
     tau : declared decay order of g - delta (TAU_INFINITE for exact flat)
     derivative_provenance : "analytic" when dg and d2g come from closed
         forms, "finite-difference" otherwise
     name : short identifier used in reports
+    eval_curvature : optional closed form (B, n) -> (gamma, riemann_lo)
+        in the CurvatureBundle layout, which riemann uses instead of d2g
     """
 
     n: int
     eval_g: Callable
     eval_dg: Callable
-    eval_d2g: Callable
-    eval_d3g: Callable
+    eval_d2g: Optional[Callable]
+    eval_d3g: Optional[Callable]
     tau: float
     derivative_provenance: str = "analytic"
     name: str = "metric"
+    eval_curvature: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -394,19 +398,16 @@ def conformal_radial(n, u):
 
 def with_tau(g, tau):
     """Copy of a MetricField with the declared decay order replaced."""
-    return MetricField(n=g.n, eval_g=g.eval_g, eval_dg=g.eval_dg,
-                       eval_d2g=g.eval_d2g, eval_d3g=g.eval_d3g,
-                       tau=tau, derivative_provenance=g.derivative_provenance,
-                       name=g.name)
+    return replace(g, tau=tau)
 
 
 def graph_metric(f):
     """Induced metric delta + df x df of a graph over flat space.
 
-    f must provide batched grad/hess/third evaluators (see graphcase).
-    First and second metric derivatives are assembled from f; the third
-    would need fourth derivatives of f, so it is backed by central
-    differences of the analytic second derivative.
+    f must provide batched grad/hess evaluators (see graphcase).  g and
+    dg are assembled from them, and so is the curvature, by the Gauss
+    equation with w = 1 + |df|^2:
+    Gamma^k_ij = f_k f_ij / w,  R_ijkl = (f_ik f_jl - f_il f_jk) / w.
     """
     n = f.n
     eye = np.eye(n)
@@ -426,22 +427,21 @@ def graph_metric(f):
                + df[:, :, None, None] * d2f[:, None, :, :])
         return _unbatch(out, single)
 
-    def eval_d2g(x):
-        pts, single = _batch(x)
+    def eval_curvature(pts):
         df = f.grad(pts)
         d2f = f.hess(pts)
-        d3f = f.third(pts)
-        out = (d3f[:, :, None, :, :] * df[:, None, :, None, None]
-               + d2f[:, :, None, :, None] * d2f[:, None, :, None, :]
-               + d2f[:, :, None, None, :] * d2f[:, None, :, :, None]
-               + df[:, :, None, None, None] * d3f[:, None, :, :, :])
-        return _unbatch(out, single)
+        w = 1.0 + np.einsum('xi,xi->x', df, df)
+        gamma = df[:, :, None, None] * d2f[:, None, :, :] / w[:, None, None, None]
+        # hh[x, i, j, k, l] = f_ik f_jl
+        hh = d2f[:, :, None, :, None] * d2f[:, None, :, None, :]
+        return gamma, (hh - hh.swapaxes(3, 4)) / w[:, None, None, None, None]
 
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
-                       eval_d2g=eval_d2g, eval_d3g=_fd_derivative(eval_d2g),
+                       eval_d2g=None, eval_d3g=None,
                        tau=getattr(f, "tau", np.nan),
                        derivative_provenance="analytic",
-                       name=f"graph({getattr(f, 'name', 'f')})")
+                       name=f"graph({getattr(f, 'name', 'f')})",
+                       eval_curvature=eval_curvature)
 
 
 def egb_horizon_radius(n, alpha, m):
@@ -589,7 +589,8 @@ def perturbation_change(n, profile, decay):
         _, dphi, d2phi = _phi_parts(cur)
         J = np.linalg.inv(np.eye(n)[None] + dphi)
         # d_b J^i_a = -J^i_p (d_s d_q phi^p) J^q_a J^s_b
-        dJ = -np.einsum('xip,xpqs,xqa,xsb->xiab', J, d2phi, J, J)
+        dJ = -np.einsum('xip,xpqs,xqa,xsb->xiab', J, d2phi, J, J,
+                        optimize=True)
         return _unbatch(dJ, single)
 
     return CoordinateChange(n=n, forward=forward, jacobian=jacobian,
@@ -609,7 +610,8 @@ def _pushforward(g, c):
 
     ghat_ab(xhat) = J^i_a J^j_b g_ij(psi(xhat)); the first derivative is
     assembled by the chain rule, higher ones by central differences of
-    the analytic layers below them.
+    the analytic layers below them.  g's eval_curvature is not carried
+    over: it gives the curvature in the old coordinates.
     """
     n = g.n
 
@@ -618,7 +620,7 @@ def _pushforward(g, c):
         base = c.forward(pts)
         J = c.jacobian(pts)
         gv = g.eval_g(base)
-        out = np.einsum('xia,xij,xjb->xab', J, gv, J)
+        out = np.einsum('xia,xij,xjb->xab', J, gv, J, optimize=True)
         return _unbatch(out, single)
 
     def eval_dg(x):
@@ -628,9 +630,10 @@ def _pushforward(g, c):
         dJ = c.d_jacobian(pts)
         gv = g.eval_g(base)
         dgv = g.eval_dg(base)
-        out = (np.einsum('xiac,xij,xjb->xabc', dJ, gv, J)
-               + np.einsum('xia,xij,xjbc->xabc', J, gv, dJ)
-               + np.einsum('xia,xijs,xsc,xjb->xabc', J, dgv, J, J))
+        out = (np.einsum('xiac,xij,xjb->xabc', dJ, gv, J, optimize=True)
+               + np.einsum('xia,xij,xjbc->xabc', J, gv, dJ, optimize=True)
+               + np.einsum('xia,xijs,xsc,xjb->xabc', J, dgv, J, J,
+                           optimize=True))
         return _unbatch(out, single)
 
     eval_d2g = _fd_derivative(eval_dg)

@@ -1,14 +1,18 @@
 """Independent brute-force reference implementations for the tests.
 
-Nothing here shares contraction or differentiation code with the
-library: deltas are permutation sums, derivatives are finite-difference
-stencils applied to metric values only, L_2 comes from the norm formula
-with loop-built curvature, and surface integrals go through an explicit
-hyperspherical-angle parametrization with difference-quotient
-fundamental forms.
+Except where said below, nothing here shares contraction or
+differentiation code with the library: deltas are permutation sums,
+derivatives are finite-difference stencils applied to metric values
+only, L_2 comes from the norm formula with loop-built curvature, and
+surface integrals go through an explicit hyperspherical-angle
+parametrization with difference-quotient fundamental forms.
 
 p_tensor_closed_form is the Ricci-form closed formula for P_(2) on the
 library's curvature bundle, the reference for the delta-table tensor.
+christoffel_graph_metric is the library's graph metric with its
+Gauss-equation curvature taken away, so that riemann differentiates its
+Christoffel symbols instead; the third derivatives of f this needs are
+central differences of the analytic Hessian.
 
 The reference term-table builders at the end are the library's former
 nested-loop builders: one Python loop per term, sharing only the
@@ -16,12 +20,14 @@ enumeration helpers (matchings, block orderings, relative sign) and the
 table container with the array-indexed builder they check.
 """
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from lovelock_mass import metrics
 from lovelock_mass.multiindex import (GroupedTermTable,
                                      ascending_block_orderings,
                                      canonical_matchings, relative_sign)
@@ -529,6 +535,26 @@ def p_tensor_closed_form(bund):
             + 0.5 * R[:, None, None, None, None]
             * (np.einsum('xik,xjl->xijkl', ginv, ginv)
                - np.einsum('xil,xjk->xijkl', ginv, ginv)))
+
+
+# ---------------------------------------------------------------------------
+# Christoffel route for graph metrics
+
+
+def christoffel_graph_metric(f):
+    """graph_metric(f) without eval_curvature, with an eval_d2g of
+    d_k d_l (f_i f_j) built from d3f = central differences of f.hess."""
+    def eval_d2g(pts):
+        df = f.grad(pts)
+        d2f = f.hess(pts)
+        d3f = metrics.central_difference(f.hess, pts, metrics.fd_step_first(pts))
+        return (d3f[:, :, None, :, :] * df[:, None, :, None, None]
+                + d2f[:, :, None, :, None] * d2f[:, None, :, None, :]
+                + d2f[:, :, None, None, :] * d2f[:, None, :, :, None]
+                + df[:, :, None, None, None] * d3f[:, None, :, :, :])
+
+    return dataclasses.replace(metrics.graph_metric(f), eval_d2g=eval_d2g,
+                               eval_curvature=None)
 
 
 # ---------------------------------------------------------------------------

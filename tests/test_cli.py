@@ -37,10 +37,15 @@ def test_mass_schwarzschild_value(tmp_path, capsys):
 def test_rerun_bit_identical(tmp_path):
     # reruns in fresh interpreters at BLAS thread counts 1 and 2 must write
     # the same bytes; exit 2 (fit warning from the saturating model) is
-    # fine here.  The verify run covers the planned five-operand Weyl raise.
+    # fine here.  The sigma2 run covers the planned five-operand Weyl raise,
+    # the invariance run the planned pushforward einsums, the penrose run
+    # the Gauss-equation graph curvature and the planned shape operator.
     argvs = (["mass", "--metric", "schwarzschild", "--k", "2", "--n", "5",
               "--m", "1.0", "--quad-level", "2"],
-             ["verify", "--suite", "sigma2", "--n", "6", "--seed", "1"])
+             ["verify", "--suite", "sigma2", "--n", "6", "--seed", "1"],
+             ["verify", "--suite", "invariance", "--n", "5", "--seed", "1"],
+             ["penrose", "--metric", "schwarzschild-graph", "--n", "5",
+              "--m", "1.3", "--quad-level", "4"])
     for argv in argvs:
         outs = []
         for threads in ("1", "2"):
@@ -136,6 +141,31 @@ def test_penrose_saturated_sphere(capsys):
     assert code == 0
     doc = json.loads(captured.out)
     assert min(doc["slack"]) > -2e-3
+
+
+def test_penrose_graph_order_out_of_range(capsys):
+    # k = n/2 (q = 0) and k > n/2 have no static graph
+    for flags in (["--n", "4", "--m", "1"], ["--n", "5", "--k", "3"]):
+        code = run(["penrose", "--metric", "schwarzschild-graph", *flags])
+        assert code == 1
+        assert ("error: require integer 1 <= k < n/2"
+                in capsys.readouterr().err)
+    # the dimension is checked before any graph is built
+    assert run(["penrose", "--metric", "schwarzschild-graph"]) == 1
+    assert "error: need metric.n in [4, 8]" in capsys.readouterr().err
+
+
+def test_bad_radius_schedule_fails_before_any_flux(monkeypatch, capsys):
+    def no_flux(*args, **kwargs):
+        raise AssertionError("flux computed for a rejected radius schedule")
+
+    monkeypatch.setattr(cli.massmod, "flux", no_flux)
+    for flags in (["--ratio", "1"], ["--ratio", "0.5"], ["--r0", "0"]):
+        code = run(["mass", "--metric", "schwarzschild", "--n", "5",
+                    "--quad-level", "2", *flags])
+        assert code == 1
+        assert "error: radius schedule needs r0 > 0 and ratio > 1" in \
+            capsys.readouterr().err
 
 
 def test_penrose_bound_violation_exit(tmp_path, capsys):

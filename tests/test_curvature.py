@@ -51,6 +51,36 @@ def test_graph_christoffel_closed_form():
     assert np.abs(bund.gamma - expected).max() < 1e-10
 
 
+def _shell_points(rng, n, count, lo, hi):
+    u = rng.normal(size=(count, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return u * rng.uniform(lo, hi, size=(count, 1))
+
+
+def test_graph_gauss_equation_matches_christoffel_route():
+    # the Gauss-equation bundle of a graph metric against riemann on the
+    # same metric without eval_curvature, field by field
+    rng = np.random.default_rng(26)
+    for n in (5, 6, 7, 8):
+        H = rng.normal(size=(n, n))
+        bumps = graphcase.gaussian_bump_graph(
+            n, rng.normal(size=(2, n)) * 3.0, [0.5, -0.4], [1.4, 2.1])
+        cases = ((graphcase.quadratic_graph(n, 0.3 * (H + H.T)), 1e-10),
+                 (graphcase.sum_graph(graphcase.schwarzschild_graph(n, 0.5),
+                                      bumps), 1e-7))
+        pts = _shell_points(rng, n, 64, 3.0, 8.0)
+        for f, tol in cases:
+            assert f.metric.eval_curvature is not None
+            fast = curvature.riemann(f.metric, pts)
+            ref = curvature.riemann(oracles.christoffel_graph_metric(f), pts)
+            for field in ("g", "ginv", "dg", "gamma", "riemann_lo",
+                          "riemann_mix", "ricci", "scalar"):
+                a, b = getattr(fast, field), getattr(ref, field)
+                scale = np.abs(b).max()
+                assert scale > 0, (n, field)
+                assert np.abs(a - b).max() <= tol * scale, (n, f.name, field)
+
+
 def test_riemann_symmetries_and_bianchi():
     rng = np.random.default_rng(22)
     for g in (_conformal(), _bump_graph().metric):

@@ -33,6 +33,10 @@ def test_default_radii_schedule():
                           [20.0, 40.0, 80.0, 160.0])
     assert np.array_equal(massmod.default_radii(10.0, 3.0, 5),
                           [10.0, 30.0, 90.0, 270.0, 810.0])
+    for r0, ratio in ((20.0, 1.0), (20.0, 0.5), (0.0, 2.0), (-5.0, 2.0),
+                      (20.0, float("nan"))):
+        with pytest.raises(ValueError, match="r0 > 0 and ratio > 1"):
+            massmod.default_radii(r0, ratio)
 
 
 def test_exact_power_law_recovery():
