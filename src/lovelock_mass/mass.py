@@ -127,9 +127,13 @@ def _chunked(fun, pts, chunk=_CHUNK):
     return out
 
 
-def _check_kind(kind):
+def _check_kind(kind, n, k):
+    """Raise ValueError for an unknown kind, or for an order-k mass
+    outside 1 <= k < n/2, before any flux is integrated."""
     if kind not in _KINDS:
         raise ValueError(f"unknown mass kind {kind!r}")
+    if kind == "mk" and not 1 <= k < n / 2:
+        raise ValueError(f"require 1 <= k < n/2, got k={k}, n={n}")
 
 
 def _adm_density(dg, nu):
@@ -168,7 +172,7 @@ def flux(kind, g, r, rule=None, *, k=2, alpha=0.0):
     kind is "adm", "gbc" (second order), "mk" (order k) or "egb"
     (first order plus 2 alpha times the second-order integrand).
     """
-    _check_kind(kind)
+    _check_kind(kind, g.n, k)
     rule = _rule_for(g.n, rule)
     raw = quadrature.surface_integral(_integrand(kind, g, r, k, alpha),
                                       r, rule)
@@ -188,8 +192,8 @@ def mass(kind, g, radii=None, rule=None, *, k=2, alpha=0.0):
     so 0 is returned with a warning.  The order-k mass needs
     1 <= k < n/2.
     """
-    _check_kind(kind)
     n = g.n
+    _check_kind(kind, n, k)
     if kind == "gbc" and n == 4:
         warnings.warn("the second-order mass vanishes identically in n=4")
         radii = default_radii() if radii is None else np.asarray(radii, float)
@@ -197,8 +201,6 @@ def mass(kind, g, radii=None, rule=None, *, k=2, alpha=0.0):
                              integrand_id="gbc[n=4]")
         return MassEstimate(value=0.0, fit_exponent=float("inf"),
                             residual=0.0, samples=samples, model="degenerate")
-    if kind == "mk" and not 1 <= k < n / 2:
-        raise ValueError(f"require 1 <= k < n/2, got k={k}, n={n}")
     radii = default_radii() if radii is None else radii
     rule = _rule_for(g.n, rule)
     integrand_id = {"adm": f"adm[n={n}]", "gbc": f"gbc[n={n}]",

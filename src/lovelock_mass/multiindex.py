@@ -8,18 +8,33 @@ by one when comparing with a textbook display.
 The Gauss-Bonnet curvature L_k, the Lovelock tensor E^(k) and the flux
 tensor P_(k) are one contraction: a generalized delta of order 2q + f
 against q mixed Riemann factors R_{ab}^{cd}, with f upper and f lower
-indices left free (f = 0 for L_k, 1 for E^(k), 2 for P_(k)).  One
-builder makes all three term tables.  It writes the terms of a single
-sorted (2q + f)-subset once per (q, f), as a pattern over the positions
-0..2q+f-1, and maps that pattern onto every subset of range(n) by array
-indexing.  In each term the f free indices come first on both rows of
-the delta; free upper indices ascend, so P stores only its s < t half.
+indices left free (f = 0 for L_k, 1 for E^(k), 2 for P_(k)).
 
-The pattern exploits the symmetry R_{ab}^{cd} = R_{ba}^{dc} and the
-pair-exchange symmetry of the delta symbol to shrink the permutation
-sum: the other upper indices run over canonical matchings only and the
-lower ones over orderings with ascending canonical blocks, with the
-absorbed multiplicity restored as an overall integer factor.
+E^(k) and P_(k) are built as double forms (Labbi, Trans. AMS 357,
+2005).  R is a matrix R_I^J on the pairs of range(n), and its wedge
+power W_q on the 2q-subsets K, L satisfies
+
+    W_q[K, L] = sum eps(K; I, K-I) eps(L; J, L-J) R_I^J W_{q-1}[K-I, L-J]
+
+over the pairs I of K that hold min K and all pairs J of L, with
+W_0 = 1 and eps the sign of the sorted set -> (pair, rest).  The slot
+(u, l) of f free upper and f free lower indices then reads
+
+    sum_S sgn(S -> u K) sgn(S -> l L) W_q[K, L],   K = S - u, L = S - l,
+
+over the (2q + f)-subsets S that hold u and l.  A WedgeTable holds the
+plan of every W_q and this read-off, both built like the L table: one
+pattern over the positions of a sorted subset, mapped onto every subset
+of range(n) by array indexing.
+
+L_k keeps its term table, the diagonal of R^{wedge k}, written out as
+terms of a single sorted 2k-subset.  The pattern exploits the symmetry
+R_{ab}^{cd} = R_{ba}^{dc} and the pair-exchange symmetry of the delta
+symbol to shrink the permutation sum: the upper indices run over
+canonical matchings only and the lower ones over orderings with
+ascending canonical blocks, with the absorbed multiplicity restored as
+an overall integer factor.  At k = 2, the order every command uses, the
+table has 18 terms per subset and no product to share.
 """
 
 import itertools
@@ -35,7 +50,8 @@ __all__ = [
     "relative_sign",
     "canonical_matchings",
     "ascending_block_orderings",
-    "GroupedTermTable",
+    "TermTable",
+    "WedgeTable",
     "lovelock_scalar_table",
     "p_tensor_table",
     "lovelock_einstein_table",
@@ -137,17 +153,12 @@ def ascending_block_orderings(values, nblocks):
 
 
 @dataclass(frozen=True)
-class GroupedTermTable:
-    """Flat term list for one delta-contracted curvature polynomial.
+class TermTable:
+    """Flat term list of the Gauss-Bonnet curvature L_k at dimension n.
 
-    Each term contributes sign * prod_t Rmix[f[t,0], f[t,1], f[t,2], f[t,3]]
-    to one output slot.  Terms are sorted by output slot so consumers
-    can reduce with np.add.reduceat.
-
-    Fields: n, k, constant (absorbed multiplicity, exact up front),
-    signs (T,), factors (T, q, 4) with q factors of the mixed Riemann
-    tensor, group_starts: start offsets of equal-slot runs, group_index
-    (G, p): the slot label of each run (p = 0 for scalars).
+    L_k = constant * sum_T signs[T] * prod_t Rmix[f[T,t,0], f[T,t,1],
+    f[T,t,2], f[T,t,3]] with f = factors (T, k, 4) and Rmix[a, b, c, d]
+    = R_{ab}^{cd}; constant is the absorbed multiplicity, exact up front.
     """
 
     n: int
@@ -155,67 +166,130 @@ class GroupedTermTable:
     constant: float
     signs: np.ndarray
     factors: np.ndarray
+
+
+@dataclass(frozen=True)
+class WedgeTable:
+    """Wedge-power plan and read-off of one free-index curvature tensor.
+
+    R is the pair matrix R_I^J = Rmix[i1, i2, j1, j2] over the pairs
+    i1 < i2 and j1 < j2 in lexicographic order, gathered by the rows of
+    pairs (C(n,2)^2, 4), and flattened over its (I, J) entries.  W_q is
+    flattened the same way over its (K, L) entries, K and L the sorted
+    2q-subsets, and W_0 = 1.  plan[q - 1] = (r_index, w_index, signs)
+    builds W_q from W_{q-1}:
+
+        W_q[:] = sum_t signs[t] * R[r_index[t]] * W_{q-1}[w_index[t]]
+
+    The read-off of the last W sums signs[T] * W[index[T]] over each run
+    of terms that starts at group_starts[G]; the run fills the slot
+    group_index[G], its free upper then free lower indices.
+    """
+
+    n: int
+    k: int
+    constant: float
+    pairs: np.ndarray
+    plan: tuple
+    signs: np.ndarray
+    index: np.ndarray
     group_starts: np.ndarray
     group_index: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def _pattern(q, f):
-    """Terms of one sorted (2q + f)-subset as (signs, ups, los).
+def _subsets(n, m):
+    """The sorted m-subsets of range(n) in lexicographic order, (N, m)."""
+    return np.array(list(itertools.combinations(range(n), m)),
+                    dtype=np.intp).reshape(math.comb(n, m), m)
 
-    ups[T] and los[T] are the upper and lower rows of term T as
-    positions in the subset: the f free positions, then q factor
-    blocks.  The lower rows are orderings of the non-free upper
-    positions followed by the free ones; that order fixes the order of
-    the terms within each slot, and with it the rounding of the sums.
+
+def _ranks(sub, n):
+    """Lexicographic rank of the sorted subsets sub[..., m] among the
+    m-subsets of range(n): as base-n numbers they ascend with it."""
+    powers = n ** np.arange(sub.shape[-1] - 1, -1, -1)
+    return np.searchsorted(_subsets(n, sub.shape[-1]) @ powers, sub @ powers)
+
+
+def _splits(m, f, first=False):
+    """(heads, rests, signs) over the f-subsets head of the positions
+    range(m), only those holding position 0 if first: rest holds the
+    other positions, sign is that of range(m) -> head + rest."""
+    heads = [head for head in itertools.combinations(range(m), f)
+             if not first or 0 in head]
+    rests = [tuple(p for p in range(m) if p not in head) for head in heads]
+    signs = [relative_sign(tuple(range(m)), head + rest)
+             for head, rest in zip(heads, rests)]
+    return (np.array(heads, dtype=np.intp).reshape(len(heads), f),
+            np.array(rests, dtype=np.intp).reshape(len(heads), m - f),
+            np.array(signs, dtype=float))
+
+
+def _wedge_step(n, q):
+    """The plan entry of W_q at dimension n.
+
+    W_q[K, L] = sum eps(K; I, K-I) eps(L; J, L-J) R_I^J W_{q-1}[K-I, L-J]
+    over the pairs I of K that hold min K and all pairs J of L.  Term
+    t = (I, J) is a pair of positions in K and in L, so its sign is the
+    same for every entry.
     """
-    m = 2 * q + f
-    signs, ups, los = [], [], []
-    for fu in itertools.combinations(range(m), f):
-        rest = [p for p in range(m) if p not in fu]
-        lowers = ascending_block_orderings(rest + list(fu), q)
-        for up in canonical_matchings(rest):
-            up = up + fu
-            for lo in lowers:
-                signs.append(relative_sign(lo, up))
-                # moving the free indices to the front of both rows
-                # crosses the same 2q indices twice: the sign stays
-                ups.append(up[2 * q:] + up[:2 * q])
-                los.append(lo[2 * q:] + lo[:2 * q])
-    return (np.array(signs, dtype=float),
-            np.array(ups, dtype=np.intp).reshape(-1, m),
-            np.array(los, dtype=np.intp).reshape(-1, m))
+    sub = _subsets(n, 2 * q)
+    hi, ri, si = _splits(2 * q, 2, first=True)
+    hj, rj, sj = _splits(2 * q, 2)
+    row = _ranks(sub[:, hi], n) * math.comb(n, 2)
+    col = _ranks(sub[:, hj], n)
+    kr = _ranks(sub[:, ri], n) * math.comb(n, 2 * q - 2)
+    lr = _ranks(sub[:, rj], n)
+    shape = (len(hi) * len(hj), len(sub) ** 2)
+    r_index = (row.T[:, None, :, None] + col.T[None, :, None, :]).reshape(shape)
+    w_index = (kr.T[:, None, :, None] + lr.T[None, :, None, :]).reshape(shape)
+    return r_index, w_index, np.outer(si, sj).ravel()
 
 
-def _delta_table(n, k, q, f, constant):
-    """Term table with q Riemann factors and f free index pairs at
-    dimension n; the slot of a term is its free upper then free lower
-    indices."""
-    m = 2 * q + f
-    if m > n:
-        # no subset, no terms: skip the pattern, which costs (2q + f)!
-        return GroupedTermTable(n, k, constant, signs=np.zeros(0),
-                                factors=np.zeros((0, 0, 4), dtype=np.intp),
-                                group_starts=np.zeros(0, dtype=np.intp),
-                                group_index=np.zeros((0, 2 * f), dtype=np.intp))
-    signs, ups, los = _pattern(q, f)
-    subsets = np.array(list(itertools.combinations(range(n), m)),
-                       dtype=np.intp).reshape(-1, m)
-    U = subsets[:, ups].reshape(-1, m)
-    L = subsets[:, los].reshape(-1, m)
-    slots = np.concatenate([U[:, :f], L[:, :f]], axis=1)
-    # each slot as one base-n number; the stable sort keeps the subset
-    # and pattern order of the terms within a slot
+def _readoff(n, q, f):
+    """(signs, index, group_starts, group_index) of the read-off of W_q
+    with f free index pairs.
+
+    The slot (u, l) of f ascending upper and f ascending lower indices
+    collects sgn(S -> u K) sgn(S -> l L) W_q[K, L] over the (2q + f)-subsets
+    S that hold u and l, with K = S - u and L = S - l.  Terms are sorted
+    by slot; within a slot they keep the subset order.
+    """
+    sub = _subsets(n, 2 * q + f)
+    heads, rests, signs = _splits(2 * q + f, f)
+    h = len(heads)
+    rank = _ranks(sub[:, rests], n)
+    index = (rank[:, :, None] * math.comb(n, 2 * q) + rank[:, None, :]).ravel()
+    up = sub[:, heads]
+    slots = np.concatenate([np.repeat(up, h, axis=1),
+                            np.tile(up, (1, h, 1))], axis=2).reshape(-1, 2 * f)
     key = slots @ n ** np.arange(2 * f - 1, -1, -1)
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    factors = np.concatenate([U[:, f:].reshape(len(U), q, 2),
-                              L[:, f:].reshape(len(L), q, 2)], axis=2)
-    return GroupedTermTable(n, k, constant,
-                            signs=np.tile(signs, len(subsets))[order],
-                            factors=factors[order],
-                            group_starts=starts,
-                            group_index=slots[order][starts])
+    return (np.tile(np.outer(signs, signs).ravel(), len(sub))[order],
+            index[order], starts, slots[order][starts])
+
+
+def _wedge_table(n, k, q, f, constant):
+    """The read-off of W_q with f free index pairs and its plan (both
+    empty when 2q + f > n)."""
+    pairs = _subsets(n, 2)
+    pairs = np.concatenate([np.repeat(pairs, len(pairs), axis=0),
+                            np.tile(pairs, (len(pairs), 1))], axis=1)
+    plan = tuple(_wedge_step(n, p) for p in range(1, q + 1) if 2 * q + f <= n)
+    return WedgeTable(n, k, constant, pairs, plan, *_readoff(n, q, f))
+
+
+@lru_cache(maxsize=None)
+def _scalar_pattern(k):
+    """Terms of one sorted 2k-subset as (signs, ups, los): the upper rows
+    run over canonical matchings of the positions 0..2k-1, the lower
+    ones over orderings with k ascending blocks."""
+    lowers = ascending_block_orderings(range(2 * k), k)
+    rows = [(relative_sign(lo, up), up, lo)
+            for up in canonical_matchings(range(2 * k)) for lo in lowers]
+    signs, ups, los = zip(*rows)
+    return (np.array(signs, dtype=float), np.array(ups, dtype=np.intp),
+            np.array(los, dtype=np.intp))
 
 
 @lru_cache(maxsize=None)
@@ -225,27 +299,35 @@ def lovelock_scalar_table(n, k):
     L_k = constant * sum(sign * prod_t Rmix[u_{2t}, u_{2t+1}, l_{2t}, l_{2t+1}])
     with Rmix[a, b, c, d] = R_{ab}^{cd}.
     """
-    return _delta_table(n, k, k, 0, float(2 ** k * math.factorial(k)))
+    constant = float(2 ** k * math.factorial(k))
+    if 2 * k > n:
+        return TermTable(n, k, constant, signs=np.zeros(0),
+                         factors=np.zeros((0, 0, 4), dtype=np.intp))
+    signs, ups, los = _scalar_pattern(k)
+    sub = _subsets(n, 2 * k)
+    factors = np.concatenate([sub[:, ups].reshape(-1, k, 2),
+                              sub[:, los].reshape(-1, k, 2)], axis=2)
+    return TermTable(n, k, constant, signs=np.tile(signs, len(sub)),
+                     factors=factors)
 
 
 @lru_cache(maxsize=None)
 def p_tensor_table(n, k):
-    """Term table for the coefficient tensor C of the rank-4 P field.
+    """Wedge table for the coefficient tensor C of the rank-4 P field.
 
-    P^{stlm} = constant * C[s,t,a,b] g^{al} g^{bm} where C collects the
-    delta-contracted products of (k-1) mixed Riemann factors.  Only
-    slots (s, t, a, b) with s < t are stored; the s > t half is the
-    negative.
+    P^{stlm} = constant * C[s,t,a,b] g^{al} g^{bm} with C the read-off of
+    W_{k-1} in the slots (s, t, a, b), s < t and a < b; C is
+    antisymmetric in (s, t) and in (a, b).
     """
-    return _delta_table(n, k, k - 1, 2,
+    return _wedge_table(n, k, k - 1, 2,
                         4.0 ** (k - 1) * math.factorial(k - 1) / 2.0 ** k)
 
 
 @lru_cache(maxsize=None)
 def lovelock_einstein_table(n, k):
-    """Term table for the divergence-free curvature 2-tensor of order k.
+    """Wedge table for the divergence-free curvature 2-tensor of order k.
 
-    E_{ij} = -(1/2^{k+1}) g_{li} D^l_j with D = constant * grouped sum of
-    k mixed Riemann factors; slots are (l, j).
+    E_{ij} = -(1/2^{k+1}) g_{li} D^l_j with D = constant * the read-off
+    of W_k in the slots (l, j).
     """
-    return _delta_table(n, k, k, 1, 4.0 ** k * math.factorial(k))
+    return _wedge_table(n, k, k, 1, 4.0 ** k * math.factorial(k))

@@ -14,23 +14,27 @@ Gauss-equation curvature taken away, so that riemann differentiates its
 Christoffel symbols instead; the third derivatives of f this needs are
 central differences of the analytic Hessian.
 
-The reference term-table builders at the end are the library's former
-nested-loop builders: one Python loop per term, sharing only the
-enumeration helpers (matchings, block orderings, relative sign) and the
-table container with the array-indexed builder they check.
+The reference term-table builders are the library's former nested-loop
+builders: one Python loop per term, sharing only the enumeration helpers
+(matchings, block orderings, signs) with the library.  The gather engine
+at the end is the library's former P_(k) and E^(k) engine, the reference
+for the wedge-power one: array-indexed delta-contraction term tables,
+each term gathered factor by factor out of riemann_mix and summed per
+slot.
 """
 
 import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from lovelock_mass import metrics
-from lovelock_mass.multiindex import (GroupedTermTable,
-                                     ascending_block_orderings,
-                                     canonical_matchings, relative_sign)
+from lovelock_mass.multiindex import (ascending_block_orderings,
+                                     canonical_matchings, permutation_sign,
+                                     relative_sign)
 
 _MAX_BRUTE_ORDER = 5
 
@@ -561,6 +565,29 @@ def christoffel_graph_metric(f):
 # reference delta-contraction term tables
 
 
+@dataclass(frozen=True)
+class GroupedTermTable:
+    """Flat term list for one delta-contracted curvature polynomial.
+
+    Each term contributes sign * prod_t Rmix[f[t,0], f[t,1], f[t,2], f[t,3]]
+    to one output slot.  Terms are sorted by output slot so consumers
+    can reduce with np.add.reduceat.
+
+    Fields: n, k, constant (absorbed multiplicity, exact up front),
+    signs (T,), factors (T, q, 4) with q factors of the mixed Riemann
+    tensor, group_starts: start offsets of equal-slot runs, group_index
+    (G, p): the slot label of each run (p = 0 for scalars).
+    """
+
+    n: int
+    k: int
+    constant: float
+    signs: np.ndarray
+    factors: np.ndarray
+    group_starts: np.ndarray
+    group_index: np.ndarray
+
+
 def _pack(n, k, constant, terms, out_width):
     """Sort raw (sign, factors, out_slot) terms into a GroupedTermTable."""
     if not terms:
@@ -653,3 +680,105 @@ def lovelock_einstein_table(n, k):
                         terms.append((sgn, fac, (l, j)))
     constant = 4.0 ** k * math.factorial(k)
     return _pack(n, k, constant, terms, 2)
+
+
+# ---------------------------------------------------------------------------
+# the gather engine: array-indexed delta-contraction term tables, summed
+# term by term out of the gathered Riemann factors
+
+
+@lru_cache(maxsize=None)
+def _pattern(q, f):
+    """Terms of one sorted (2q + f)-subset as (signs, ups, los).
+
+    ups[T] and los[T] are the upper and lower rows of term T as
+    positions in the subset: the f free positions, then q factor
+    blocks.  The other upper indices run over canonical matchings, the
+    lower ones over orderings with q ascending blocks.
+    """
+    m = 2 * q + f
+    signs, ups, los = [], [], []
+    for fu in itertools.combinations(range(m), f):
+        rest = [p for p in range(m) if p not in fu]
+        lowers = ascending_block_orderings(rest + list(fu), q)
+        lo_signs = np.array([permutation_sign(lo) for lo in lowers], dtype=float)
+        # moving the free indices to the front of both rows crosses the
+        # same 2q indices twice: the sign stays
+        lo_rows = np.roll(np.array(lowers, dtype=np.intp).reshape(-1, m), f,
+                          axis=1)
+        for up in canonical_matchings(rest):
+            up = up + fu
+            # both rows order range(m): the sign of lo -> up
+            signs.append(permutation_sign(up) * lo_signs)
+            ups.append(np.broadcast_to(up[2 * q:] + up[:2 * q], lo_rows.shape))
+            los.append(lo_rows)
+    return np.concatenate(signs), np.concatenate(ups), np.concatenate(los)
+
+
+def delta_table(n, k, q, f, constant):
+    """Term table with q Riemann factors and f free index pairs at
+    dimension n, the pattern of one subset mapped onto every subset;
+    the slot of a term is its free upper then free lower indices."""
+    m = 2 * q + f
+    if m > n:
+        return _pack(n, k, constant, [], 2 * f)
+    signs, ups, los = _pattern(q, f)
+    subsets = np.array(list(itertools.combinations(range(n), m)),
+                       dtype=np.intp).reshape(-1, m)
+    U = subsets[:, ups].reshape(-1, m)
+    L = subsets[:, los].reshape(-1, m)
+    slots = np.concatenate([U[:, :f], L[:, :f]], axis=1)
+    key = slots @ n ** np.arange(2 * f - 1, -1, -1)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    factors = np.concatenate([U[:, f:].reshape(len(U), q, 2),
+                              L[:, f:].reshape(len(L), q, 2)], axis=2)
+    return GroupedTermTable(n, k, constant,
+                            signs=np.tile(signs, len(subsets))[order],
+                            factors=factors[order],
+                            group_starts=starts,
+                            group_index=slots[order][starts])
+
+
+def gather_p_table(n, k):
+    """Gather table of the coefficient tensor C of P_(k), s < t slots."""
+    return delta_table(n, k, k - 1, 2,
+                       4.0 ** (k - 1) * math.factorial(k - 1) / 2.0 ** k)
+
+
+def gather_einstein_table(n, k):
+    """Gather table of D, the free-index sum of E^(k), slots (l, j)."""
+    return delta_table(n, k, k, 1, 4.0 ** k * math.factorial(k))
+
+
+def slot_sums(table, rmix):
+    """out[x, *slot]: the grouped sum of the table's gathered terms in
+    each slot (zero in slots without terms), 6e6 terms at a time."""
+    B = len(rmix)
+    out = np.zeros((B,) + (table.n,) * table.group_index.shape[1])
+    gi = tuple(table.group_index.T)
+    T = len(table.signs)
+    step = max(1, 6_000_000 // max(T, 1))
+    for lo in range(0, B, step):
+        hi = min(B, lo + step)
+        prod = np.broadcast_to(table.signs, (hi - lo, T)).copy()
+        for t in range(table.factors.shape[1]):
+            f = table.factors[:, t]
+            prod *= rmix[lo:hi, f[:, 0], f[:, 1], f[:, 2], f[:, 3]]
+        out[(slice(lo, hi),) + gi] = np.add.reduceat(prod, table.group_starts,
+                                                     axis=1)
+    return out
+
+
+def gather_p_tensor(table, bund):
+    """P_(k)^{stlm} from a gather table of C with s < t slots."""
+    C = slot_sums(table, bund.riemann_mix)
+    C = C - C.transpose(0, 2, 1, 3, 4)
+    return table.constant * np.einsum('xstab,xal,xbm->xstlm', C, bund.ginv,
+                                      bund.ginv)
+
+
+def gather_einstein(table, bund):
+    """E^(k)_ij from a gather table of D."""
+    D = table.constant * slot_sums(table, bund.riemann_mix)
+    return -(1.0 / 2.0 ** (table.k + 1)) * np.einsum('xli,xlj->xij', bund.g, D)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lovelock_mass import cli
+from lovelock_mass import cli, quadrature
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -39,13 +39,16 @@ def test_rerun_bit_identical(tmp_path):
     # the same bytes; exit 2 (fit warning from the saturating model) is
     # fine here.  The sigma2 run covers the planned five-operand Weyl raise,
     # the invariance run the planned pushforward einsums, the penrose run
-    # the Gauss-equation graph curvature and the planned shape operator.
+    # the Gauss-equation graph curvature and the planned shape operator,
+    # the k = 3 run the wedge-power flux tensor.
     argvs = (["mass", "--metric", "schwarzschild", "--k", "2", "--n", "5",
               "--m", "1.0", "--quad-level", "2"],
              ["verify", "--suite", "sigma2", "--n", "6", "--seed", "1"],
              ["verify", "--suite", "invariance", "--n", "5", "--seed", "1"],
              ["penrose", "--metric", "schwarzschild-graph", "--n", "5",
-              "--m", "1.3", "--quad-level", "4"])
+              "--m", "1.3", "--quad-level", "4"],
+             ["mass", "--metric", "schwarzschild", "--k", "3", "--n", "7",
+              "--m", "1.0", "--quad-level", "2"])
     for argv in argvs:
         outs = []
         for threads in ("1", "2"):
@@ -166,6 +169,19 @@ def test_bad_radius_schedule_fails_before_any_flux(monkeypatch, capsys):
         assert code == 1
         assert "error: radius schedule needs r0 > 0 and ratio > 1" in \
             capsys.readouterr().err
+
+
+def test_flux_order_checked_before_integrating(monkeypatch, capsys):
+    # flux of an order with 2k >= n fails up front, not after a whole
+    # sphere is integrated
+    def no_integral(*args, **kwargs):
+        raise AssertionError("sphere integrated for a rejected order")
+
+    monkeypatch.setattr(quadrature, "surface_integral", no_integral)
+    code = run(["flux", "--metric", "euclidean", "--n", "5", "--k", "3",
+                "--quad-level", "2"])
+    assert code == 1
+    assert "error: require 1 <= k < n/2, got k=3, n=5" in capsys.readouterr().err
 
 
 def test_penrose_bound_violation_exit(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -94,35 +95,64 @@ def test_scalar_table_matches_raw_delta_contraction():
         assert abs(raw - lib) <= 1e-10 * (1.0 + abs(lib))
 
 
-def _term_rows(table):
-    """(sign, factors, slot) of every term, as rows in sorted order."""
-    T = len(table.signs)
-    slot = np.repeat(table.group_index,
-                     np.diff(table.group_starts, append=T), axis=0)
-    rows = np.column_stack([table.signs,
-                            table.factors.reshape(T, 4 * table.factors.shape[1]),
-                            slot])
-    return rows[np.lexsort(rows.T[::-1])]
+def _bump_bundle(n, points, seed):
+    """A bump-graph metric (not conformally flat), points and their bundle."""
+    from lovelock_mass import curvature, graphcase
+
+    rng = np.random.default_rng(seed)
+    f = graphcase.gaussian_bump_graph(n, rng.normal(size=(2, n)),
+                                      [0.6, -0.5], [1.3, 1.8])
+    x = rng.normal(size=(points, n))
+    return f.metric, x, curvature.riemann(f.metric, x)
+
+
+def _assert_engine_matches(n, k, p_table, e_table, points, seed):
+    """P_(k) and E^(k) of the library against the gather engine on the
+    given term tables, to 1e-12 of the largest entry."""
+    from lovelock_mass import curvature
+
+    g, x, bund = _bump_bundle(n, points, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # P_(k) vanishes for 2k > n
+        P = curvature.p_tensor_general(k, g, x, bund=bund)
+    pairs = [(P, oracles.gather_p_tensor(p_table, bund))]
+    if 2 * k <= n:
+        pairs.append((curvature.lovelock_einstein(k, g, x, bund=bund),
+                      oracles.gather_einstein(e_table, bund)))
+    for new, ref in pairs:
+        assert new.shape == ref.shape
+        assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max(), (n, k)
 
 
 def test_term_tables_match_reference_builders():
-    # the array-indexed builder against the nested-loop builders it
-    # replaced: L and P keep every array, E may reorder terms within a
-    # slot; 2k > n gives empty tables.  L(8, 4) is left out for time.
+    # the array-indexed L table against the nested-loop builder it
+    # replaced, array for array; P_(k) and E^(k) from the wedge engine
+    # against the gather engine on the nested-loop tables.  2k > n gives
+    # empty tables.  L(8, 4) is left out for time.
     cases = [(n, k) for n in range(4, 8) for k in range(1, n // 2 + 2)]
     cases += [(8, k) for k in (1, 2, 3)]
     for n, k in cases:
-        for name in ("lovelock_scalar_table", "p_tensor_table",
-                     "lovelock_einstein_table"):
-            new = getattr(mi, name)(n, k)
-            ref = getattr(oracles, name)(n, k)
-            assert (new.n, new.k, new.constant) == (ref.n, ref.k, ref.constant)
-            fields = ("group_starts", "group_index")
-            if name == "lovelock_einstein_table":
-                assert np.array_equal(_term_rows(new), _term_rows(ref)), (n, k)
-            else:
-                fields += ("signs", "factors")
-            for field in fields:
-                a, b = getattr(new, field), getattr(ref, field)
-                assert a.dtype == b.dtype and np.array_equal(a, b), \
-                    (name, n, k, field)
+        new, ref = mi.lovelock_scalar_table(n, k), oracles.lovelock_scalar_table(n, k)
+        assert (new.n, new.k, new.constant) == (ref.n, ref.k, ref.constant)
+        for field in ("signs", "factors"):
+            a, b = getattr(new, field), getattr(ref, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (n, k, field)
+        if 2 * k > n:
+            for name in ("p_tensor_table", "lovelock_einstein_table"):
+                assert not len(getattr(mi, name)(n, k).signs)
+                assert not len(getattr(oracles, name)(n, k).signs)
+        else:
+            _assert_engine_matches(n, k, oracles.p_tensor_table(n, k),
+                                   oracles.lovelock_einstein_table(n, k),
+                                   points=4, seed=n)
+
+
+def test_wedge_engine_matches_gather_engine():
+    # the wedge-power P_(k) and E^(k) against the per-term gather engine
+    # they replaced, on 16 points of a bump graph: every k with 2k <= n,
+    # and one k with 2k > n, where both are empty
+    for n in range(4, 9):
+        for k in range(1, n // 2 + 2):
+            _assert_engine_matches(n, k, oracles.gather_p_table(n, k),
+                                   oracles.gather_einstein_table(n, k),
+                                   points=16, seed=10 + n)
