@@ -15,15 +15,14 @@ closed-form eval_curvature when it has one (graph metrics, by the Gauss
 equation), else by differentiating Gamma with its eval_d2g.  The other
 bundle fields are built the same way on both routes.
 
-P_(k) and E^(k) follow the double-form route (Labbi, Double forms,
-curvature structures and the (p,q)-curvatures, Trans. AMS 357, 2005;
-formulas in multiindex): the wedge power W_q of the curvature operator
-R_I^J on 2q-subsets is built one factor at a time, and each free-index
-slot sums signed entries of W_{k-1} (P) or W_k (E).  At n = 8, k = 3
-that is 88 200 products and 6 300 read-off terms per point, against
-226 800 two-factor terms of the expanded delta contraction.  L_k keeps
-its gathered products over the term table, which is already the
-diagonal of R^{wedge k}; at k = 2 no shared product is left to factor.
+L_k, E^(k) and P_(k) share one engine, the double-form route (Labbi,
+Double forms, curvature structures and the (p,q)-curvatures, Trans. AMS
+357, 2005; formulas in multiindex): the wedge power W_q of the
+curvature operator R_I^J on 2q-subsets is built one factor at a time,
+and each free-index slot sums signed entries of W_{k-1} (P) or W_k (E);
+L_k is the trace of W_k.  For P_(3) at n = 8 that is 67 564 products
+and 6 300 read-off terms per point, against 226 800 two-factor terms of
+the expanded delta contraction.
 
 All operations are batched over points; a CurvatureBundle holds the
 arrays for one batch, and callers that need several curvature objects
@@ -60,7 +59,7 @@ __all__ = [
     "kulkarni_nomizu",
 ]
 
-# batch-size * row-width budget for the gather and wedge buffers
+# batch-size * row-width budget for the wedge buffers
 _TERM_BUDGET = 6_000_000
 
 
@@ -121,17 +120,6 @@ def riemann(g, x):
                            ricci=ricci, scalar=scalar)
 
 
-def _gathered_products(table, rmix):
-    """prod[x, T] = sign_T * product of table factors gathered from rmix."""
-    B = rmix.shape[0]
-    T = len(table.signs)
-    prod = np.broadcast_to(table.signs, (B, T)).copy()
-    for t in range(table.factors.shape[1]):
-        f = table.factors[:, t]
-        prod *= rmix[:, f[:, 0], f[:, 1], f[:, 2], f[:, 3]]
-    return prod
-
-
 def _chunks(B, T):
     step = max(1, _TERM_BUDGET // max(T, 1))
     for lo in range(0, B, step):
@@ -180,11 +168,7 @@ def lovelock_L(k, g, x, bund=None):
     if bund is None:
         bund = riemann(g, pts)
     table = lovelock_scalar_table(n, k)
-    rmix = bund.riemann_mix
-    out = np.empty(len(pts))
-    for lo, hi in _chunks(len(pts), len(table.signs)):
-        out[lo:hi] = _gathered_products(table, rmix[lo:hi]).sum(axis=1)
-    out *= table.constant
+    out = table.constant * _wedge_sums(table, bund.riemann_mix)[0]
     return out[0] if single else out
 
 

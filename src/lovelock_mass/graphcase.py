@@ -97,7 +97,7 @@ def radial_graph(n, slope, tau, r_min=0.0, horizon=None, name="radial-graph"):
             if np.any(r <= r_min):
                 raise metrics.DomainError(
                     f"{name}: point inside domain radius {r_min:.6g}")
-            jets = metrics._radial_jets(pts, r, slope, slope.d1, slope.d2)
+            jets = metrics._radial_jets(pts, r, slope, slope.d1)
             return next(itertools.islice(jets, order, None))
         return ev
 

@@ -9,9 +9,10 @@ Evaluator conventions
 ---------------------
 Evaluators take a point (n,) or a batch (B, n), and raise ValueError on
 more leading axes.  g has shape (..., n, n), dg (..., n, n, n) with the
-derivative index last (dg[..., i, j, k] = d_k g_ij), and so on through
-d3g with three trailing derivative indices; ... is () or (B,).  Graph
-metrics give their curvature by eval_curvature instead of d2g and d3g.
+derivative index last (dg[..., i, j, k] = d_k g_ij), and d2g
+(..., n, n, n, n) with two trailing derivative indices; ... is () or
+(B,).  Graph metrics give their curvature by eval_curvature instead of
+d2g.  No metric has a third derivative: eval_d3g is None throughout.
 """
 
 import itertools
@@ -110,8 +111,9 @@ class MetricField:
     Fields
     ------
     n : dimension (>= 4 for all mass computations)
-    eval_g, eval_dg, eval_d2g, eval_d3g : batched evaluators, see module
-        docstring for the index layout (d2g and d3g may be None)
+    eval_g, eval_dg, eval_d2g : batched evaluators, see module docstring
+        for the index layout (d2g may be None)
+    eval_d3g : always None; nothing computes third derivatives
     tau : declared decay order of g - delta (TAU_INFINITE for exact flat)
     derivative_provenance : "analytic" when dg and d2g come from closed
         forms, "finite-difference" otherwise
@@ -149,7 +151,7 @@ class CoordinateChange:
 
 
 class RadialProfile:
-    """A scalar profile c(r) with derivatives to third order.
+    """A scalar profile c(r) with derivatives to second order.
 
     Constructed from a sympy expression in a single symbol; derivatives
     are generated symbolically and lambdified once.
@@ -165,7 +167,7 @@ class RadialProfile:
         self.expr = expr
         self.symbol = symbol
         ds = [expr]
-        for _ in range(3):
+        for _ in range(2):
             ds.append(sp.diff(ds[-1], symbol))
         self._fns = [sp.lambdify(symbol, d, modules="numpy") for d in ds]
 
@@ -183,36 +185,26 @@ class RadialProfile:
     def d2(self, r):
         return self._eval(2, r)
 
-    def d3(self, r):
-        return self._eval(3, r)
 
-
-def _radial_jets(pts, r, d1, d2, d3):
-    """Yield dc[...,k], d2c[...,k,l], d3c[...,k,l,m] of c(|x|) at batched
-    points from the radial derivative functions d1, d2, d3 of c, each
-    only when asked for: a caller that needs dc alone neither evaluates
-    c'' and c''' nor builds the rank-3 array."""
+def _radial_jets(pts, r, d1, d2):
+    """Yield dc[...,k] and d2c[...,k,l] of c(|x|) at batched points from
+    the radial derivative functions d1, d2 of c, each only when asked
+    for: a caller that needs dc alone does not evaluate c''."""
     u = pts / r[:, None]
     c1 = d1(r)
     yield c1[:, None] * u
     P = np.eye(pts.shape[-1])[None] - u[:, :, None] * u[:, None, :]
     c2 = d2(r)
     yield c2[:, None, None] * u[:, :, None] * u[:, None, :] + (c1 / r)[:, None, None] * P
-    c3 = d3(r)
-    uuu = u[:, :, None, None] * u[:, None, :, None] * u[:, None, None, :]
-    Pu = (P[:, :, :, None] * u[:, None, None, :]
-          + P[:, :, None, :] * u[:, None, :, None]
-          + P[:, None, :, :] * u[:, :, None, None])
-    yield c3[:, None, None, None] * uuu + ((c2 - c1 / r) / r)[:, None, None, None] * Pu
 
 
-def _scalar_radial_derivatives(profile, pts, r, order=3):
-    """Cartesian derivatives up to the given order (at most 3) of c(|x|)
+def _scalar_radial_derivatives(profile, pts, r, order):
+    """Cartesian derivatives up to the given order (1 or 2) of c(|x|)
     at batched points.
 
-    Returns (c, dc[...,k], d2c[...,k,l], d3c[...,k,l,m]) cut after order.
+    Returns (c, dc[...,k], d2c[...,k,l]) cut after order.
     """
-    jets = _radial_jets(pts, r, profile.d1, profile.d2, profile.d3)
+    jets = _radial_jets(pts, r, profile.d1, profile.d2)
     return (profile(r),) + tuple(itertools.islice(jets, order))
 
 
@@ -282,30 +274,9 @@ def radial_metric(n, a_profile, b_profile, tau, r_min=0.0,
                    + b0[:, None, None, None, None] * d2xx)
         return _unbatch(out, single)
 
-    def eval_d3g(x):
-        pts, single, r = _parts(x)
-        _, _, _, d3a = _scalar_radial_derivatives(profile_a, pts, r)
-        out = eye[None, :, :, None, None, None] * d3a[:, None, None, :, :, :]
-        if b_profile is not None:
-            b0, db, d2b, d3b = _scalar_radial_derivatives(b_profile, pts, r)
-            xx = pts[:, :, None] * pts[:, None, :]
-            d1xx = (eye[None, :, None, :] * pts[:, None, :, None]
-                    + eye[None, None, :, :] * pts[:, :, None, None])
-            d2xx = (eye[:, None, :, None] * eye[None, :, None, :]
-                    + eye[:, None, None, :] * eye[None, :, :, None])[None]
-            out = (out
-                   + xx[:, :, :, None, None, None] * d3b[:, None, None, :, :, :]
-                   + d1xx[:, :, :, :, None, None] * d2b[:, None, None, None, :, :]
-                   + d1xx[:, :, :, None, :, None] * d2b[:, None, None, :, None, :]
-                   + d1xx[:, :, :, None, None, :] * d2b[:, None, None, :, :, None]
-                   + d2xx[:, :, :, :, :, None] * db[:, None, None, None, None, :]
-                   + d2xx[:, :, :, :, None, :] * db[:, None, None, None, :, None]
-                   + d2xx[:, :, :, None, :, :] * db[:, None, None, :, None, None])
-        return _unbatch(out, single)
-
     profile_a = a_profile
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
-                       eval_d2g=eval_d2g, eval_d3g=eval_d3g,
+                       eval_d2g=eval_d2g, eval_d3g=None,
                        tau=tau, derivative_provenance="analytic", name=name)
 
 
@@ -331,7 +302,7 @@ def euclidean(n):
         return ev
 
     return MetricField(n=n, eval_g=eval_g, eval_dg=_zeros(3),
-                       eval_d2g=_zeros(4), eval_d3g=_zeros(5),
+                       eval_d2g=_zeros(4), eval_d3g=None,
                        tau=TAU_INFINITE, name="euclidean")
 
 
@@ -609,9 +580,9 @@ def _pushforward(g, c):
     """The metric g expressed in the new coordinates of a CoordinateChange.
 
     ghat_ab(xhat) = J^i_a J^j_b g_ij(psi(xhat)); the first derivative is
-    assembled by the chain rule, higher ones by central differences of
-    the analytic layers below them.  g's eval_curvature is not carried
-    over: it gives the curvature in the old coordinates.
+    assembled by the chain rule, the second by central differences of
+    the first.  g's eval_curvature is not carried over: it gives the
+    curvature in the old coordinates.
     """
     n = g.n
 
@@ -636,10 +607,8 @@ def _pushforward(g, c):
                            optimize=True))
         return _unbatch(out, single)
 
-    eval_d2g = _fd_derivative(eval_dg)
-    eval_d3g = _fd_derivative(eval_d2g)
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
-                       eval_d2g=eval_d2g, eval_d3g=eval_d3g,
+                       eval_d2g=_fd_derivative(eval_dg), eval_d3g=None,
                        tau=g.tau, derivative_provenance="finite-difference",
                        name=f"pushforward({g.name},{c.name})")
 
@@ -647,8 +616,8 @@ def _pushforward(g, c):
 def from_g_only(n, eval_g_batched, tau, name="fd-metric"):
     """Adapter: build a MetricField from a bare batched g evaluator.
 
-    All derivatives are central finite differences (first order with the
-    tight step, higher orders nested on the wide step).
+    Both derivatives are central finite differences (first order with
+    the tight step, second order nested on the wide step).
     """
     def eval_dg(x):
         pts, single = _batch(x)
@@ -660,7 +629,6 @@ def from_g_only(n, eval_g_batched, tau, name="fd-metric"):
         return _unbatch(eval_g_batched(pts), single)
 
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
-                       eval_d2g=_fd_derivative(eval_dg),
-                       eval_d3g=_fd_derivative(_fd_derivative(eval_dg)),
+                       eval_d2g=_fd_derivative(eval_dg), eval_d3g=None,
                        tau=tau, derivative_provenance="finite-difference",
                        name=name)

@@ -1,6 +1,6 @@
 """Combinatorial kernel for antisymmetrized tensor contractions.
 
-Generalized Kronecker deltas, permutation signs, and precomputed term
+Generalized Kronecker deltas, permutation signs, and precomputed wedge
 tables for the delta-contracted curvature polynomials.  All public
 indices are 0-based; the classical formulas use 1-based labels, shift
 by one when comparing with a textbook display.
@@ -10,9 +10,9 @@ tensor P_(k) are one contraction: a generalized delta of order 2q + f
 against q mixed Riemann factors R_{ab}^{cd}, with f upper and f lower
 indices left free (f = 0 for L_k, 1 for E^(k), 2 for P_(k)).
 
-E^(k) and P_(k) are built as double forms (Labbi, Trans. AMS 357,
-2005).  R is a matrix R_I^J on the pairs of range(n), and its wedge
-power W_q on the 2q-subsets K, L satisfies
+All three are built as double forms (Labbi, Trans. AMS 357, 2005).  R
+is a matrix R_I^J on the pairs of range(n), and its wedge power W_q on
+the 2q-subsets K, L satisfies
 
     W_q[K, L] = sum eps(K; I, K-I) eps(L; J, L-J) R_I^J W_{q-1}[K-I, L-J]
 
@@ -22,19 +22,12 @@ W_0 = 1 and eps the sign of the sorted set -> (pair, rest).  The slot
 
     sum_S sgn(S -> u K) sgn(S -> l L) W_q[K, L],   K = S - u, L = S - l,
 
-over the (2q + f)-subsets S that hold u and l.  A WedgeTable holds the
-plan of every W_q and this read-off, both built like the L table: one
+over the (2q + f)-subsets S that hold u and l.  For f = 0 there is one
+slot, the trace of W_q: L_k reads W_k on its diagonal.  A WedgeTable
+holds the plan of every W_q and this read-off, both built from one
 pattern over the positions of a sorted subset, mapped onto every subset
-of range(n) by array indexing.
-
-L_k keeps its term table, the diagonal of R^{wedge k}, written out as
-terms of a single sorted 2k-subset.  The pattern exploits the symmetry
-R_{ab}^{cd} = R_{ba}^{dc} and the pair-exchange symmetry of the delta
-symbol to shrink the permutation sum: the upper indices run over
-canonical matchings only and the lower ones over orderings with
-ascending canonical blocks, with the absorbed multiplicity restored as
-an overall integer factor.  At k = 2, the order every command uses, the
-table has 18 terms per subset and no product to share.
+of range(n) by array indexing; the last plan step builds only the
+entries of W_q that the read-off reads.
 """
 
 import itertools
@@ -48,9 +41,6 @@ __all__ = [
     "gen_kronecker_delta",
     "permutation_sign",
     "relative_sign",
-    "canonical_matchings",
-    "ascending_block_orderings",
-    "TermTable",
     "WedgeTable",
     "lovelock_scalar_table",
     "p_tensor_table",
@@ -121,53 +111,6 @@ def gen_kronecker_delta(upper, lower, n=None):
     return _delta_cached(upper, lower)
 
 
-def canonical_matchings(values):
-    """Orderings of values into ascending 2-blocks with ascending block heads.
-
-    There are (2m-1)!! of them for 2m values; they form a transversal of
-    the hyperoctahedral subgroup (block flips and block permutations).
-    """
-    values = sorted(values)
-    out = []
-
-    def rec(rem, acc):
-        if not rem:
-            out.append(tuple(acc))
-            return
-        a = rem[0]
-        for b in rem[1:]:
-            rest = [v for v in rem if v not in (a, b)]
-            rec(rest, acc + [a, b])
-
-    rec(values, [])
-    return out
-
-
-def ascending_block_orderings(values, nblocks):
-    """Orderings of values whose first nblocks consecutive pairs ascend."""
-    out = []
-    for perm in itertools.permutations(values):
-        if all(perm[2 * t] < perm[2 * t + 1] for t in range(nblocks)):
-            out.append(perm)
-    return out
-
-
-@dataclass(frozen=True)
-class TermTable:
-    """Flat term list of the Gauss-Bonnet curvature L_k at dimension n.
-
-    L_k = constant * sum_T signs[T] * prod_t Rmix[f[T,t,0], f[T,t,1],
-    f[T,t,2], f[T,t,3]] with f = factors (T, k, 4) and Rmix[a, b, c, d]
-    = R_{ab}^{cd}; constant is the absorbed multiplicity, exact up front.
-    """
-
-    n: int
-    k: int
-    constant: float
-    signs: np.ndarray
-    factors: np.ndarray
-
-
 @dataclass(frozen=True)
 class WedgeTable:
     """Wedge-power plan and read-off of one free-index curvature tensor.
@@ -181,9 +124,11 @@ class WedgeTable:
 
         W_q[:] = sum_t signs[t] * R[r_index[t]] * W_{q-1}[w_index[t]]
 
-    The read-off of the last W sums signs[T] * W[index[T]] over each run
-    of terms that starts at group_starts[G]; the run fills the slot
-    group_index[G], its free upper then free lower indices.
+    The last step keeps only the (K, L) entries that the read-off reads,
+    in the same order.  The read-off of the last W sums signs[T] *
+    W[index[T]] over each run of terms that starts at group_starts[G];
+    the run fills the slot group_index[G], its free upper then free
+    lower indices.
     """
 
     n: int
@@ -261,7 +206,8 @@ def _readoff(n, q, f):
     index = (rank[:, :, None] * math.comb(n, 2 * q) + rank[:, None, :]).ravel()
     up = sub[:, heads]
     slots = np.concatenate([np.repeat(up, h, axis=1),
-                            np.tile(up, (1, h, 1))], axis=2).reshape(-1, 2 * f)
+                            np.tile(up, (1, h, 1))],
+                           axis=2).reshape(len(sub) * h * h, 2 * f)
     key = slots @ n ** np.arange(2 * f - 1, -1, -1)
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
@@ -271,44 +217,28 @@ def _readoff(n, q, f):
 
 def _wedge_table(n, k, q, f, constant):
     """The read-off of W_q with f free index pairs and its plan (both
-    empty when 2q + f > n)."""
+    empty when 2q + f > n).  The last step builds only the entries of
+    W_q that the read-off reads."""
     pairs = _subsets(n, 2)
     pairs = np.concatenate([np.repeat(pairs, len(pairs), axis=0),
                             np.tile(pairs, (len(pairs), 1))], axis=1)
-    plan = tuple(_wedge_step(n, p) for p in range(1, q + 1) if 2 * q + f <= n)
-    return WedgeTable(n, k, constant, pairs, plan, *_readoff(n, q, f))
-
-
-@lru_cache(maxsize=None)
-def _scalar_pattern(k):
-    """Terms of one sorted 2k-subset as (signs, ups, los): the upper rows
-    run over canonical matchings of the positions 0..2k-1, the lower
-    ones over orderings with k ascending blocks."""
-    lowers = ascending_block_orderings(range(2 * k), k)
-    rows = [(relative_sign(lo, up), up, lo)
-            for up in canonical_matchings(range(2 * k)) for lo in lowers]
-    signs, ups, los = zip(*rows)
-    return (np.array(signs, dtype=float), np.array(ups, dtype=np.intp),
-            np.array(los, dtype=np.intp))
+    plan = [_wedge_step(n, p) for p in range(1, q + 1) if 2 * q + f <= n]
+    signs, index, starts, slots = _readoff(n, q, f)
+    if plan:
+        used, index = np.unique(index, return_inverse=True)
+        r_index, w_index, step_signs = plan[-1]
+        plan[-1] = (r_index[:, used], w_index[:, used], step_signs)
+    return WedgeTable(n, k, constant, pairs, tuple(plan), signs, index,
+                      starts, slots)
 
 
 @lru_cache(maxsize=None)
 def lovelock_scalar_table(n, k):
-    """Term table for the k-th Gauss-Bonnet curvature L_k at dimension n.
+    """Wedge table for the k-th Gauss-Bonnet curvature L_k at dimension n.
 
-    L_k = constant * sum(sign * prod_t Rmix[u_{2t}, u_{2t+1}, l_{2t}, l_{2t+1}])
-    with Rmix[a, b, c, d] = R_{ab}^{cd}.
+    L_k = constant * the trace of W_k, the read-off with no free index.
     """
-    constant = float(2 ** k * math.factorial(k))
-    if 2 * k > n:
-        return TermTable(n, k, constant, signs=np.zeros(0),
-                         factors=np.zeros((0, 0, 4), dtype=np.intp))
-    signs, ups, los = _scalar_pattern(k)
-    sub = _subsets(n, 2 * k)
-    factors = np.concatenate([sub[:, ups].reshape(-1, k, 2),
-                              sub[:, los].reshape(-1, k, 2)], axis=2)
-    return TermTable(n, k, constant, signs=np.tile(signs, len(sub)),
-                     factors=factors)
+    return _wedge_table(n, k, k, 0, float(2 ** k * math.factorial(k)))
 
 
 @lru_cache(maxsize=None)

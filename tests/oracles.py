@@ -15,12 +15,12 @@ Christoffel symbols instead; the third derivatives of f this needs are
 central differences of the analytic Hessian.
 
 The reference term-table builders are the library's former nested-loop
-builders: one Python loop per term, sharing only the enumeration helpers
-(matchings, block orderings, signs) with the library.  The gather engine
-at the end is the library's former P_(k) and E^(k) engine, the reference
-for the wedge-power one: array-indexed delta-contraction term tables,
-each term gathered factor by factor out of riemann_mix and summed per
-slot.
+builders: one Python loop per term, over canonical matchings and
+ascending block orderings, sharing only the permutation signs with the
+library.  The gather engine at the end is the library's former L_k,
+P_(k) and E^(k) engine, the reference for the wedge-power one:
+delta-contraction term tables, each term gathered factor by factor out
+of riemann_mix and summed per slot.
 """
 
 import dataclasses
@@ -32,9 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from lovelock_mass import metrics
-from lovelock_mass.multiindex import (ascending_block_orderings,
-                                     canonical_matchings, permutation_sign,
-                                     relative_sign)
+from lovelock_mass.multiindex import permutation_sign, relative_sign
 
 _MAX_BRUTE_ORDER = 5
 
@@ -565,6 +563,37 @@ def christoffel_graph_metric(f):
 # reference delta-contraction term tables
 
 
+def canonical_matchings(values):
+    """Orderings of values into ascending 2-blocks with ascending block heads.
+
+    There are (2m-1)!! of them for 2m values; they form a transversal of
+    the hyperoctahedral subgroup (block flips and block permutations).
+    """
+    values = sorted(values)
+    out = []
+
+    def rec(rem, acc):
+        if not rem:
+            out.append(tuple(acc))
+            return
+        a = rem[0]
+        for b in rem[1:]:
+            rest = [v for v in rem if v not in (a, b)]
+            rec(rest, acc + [a, b])
+
+    rec(values, [])
+    return out
+
+
+def ascending_block_orderings(values, nblocks):
+    """Orderings of values whose first nblocks consecutive pairs ascend."""
+    out = []
+    for perm in itertools.permutations(values):
+        if all(perm[2 * t] < perm[2 * t + 1] for t in range(nblocks)):
+            out.append(perm)
+    return out
+
+
 @dataclass(frozen=True)
 class GroupedTermTable:
     """Flat term list for one delta-contracted curvature polynomial.
@@ -685,6 +714,17 @@ def lovelock_einstein_table(n, k):
 # ---------------------------------------------------------------------------
 # the gather engine: array-indexed delta-contraction term tables, summed
 # term by term out of the gathered Riemann factors
+
+
+def gathered_products(table, rmix):
+    """prod[x, T] = sign_T * product of table factors gathered from rmix."""
+    B = rmix.shape[0]
+    T = len(table.signs)
+    prod = np.broadcast_to(table.signs, (B, T)).copy()
+    for t in range(table.factors.shape[1]):
+        f = table.factors[:, t]
+        prod *= rmix[:, f[:, 0], f[:, 1], f[:, 2], f[:, 3]]
+    return prod
 
 
 @lru_cache(maxsize=None)
