@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 error, 2 fit warning, 3 violated bound.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -399,7 +400,10 @@ def _add_metric_flags(p):
     p.add_argument("--count", type=int)
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The argparse tree, built once per process; parse_args keeps no
+    state on it between calls."""
     parser = argparse.ArgumentParser(
         prog="lovelock-mass",
         description="Flux-integral masses of asymptotically flat metrics")
@@ -422,8 +426,11 @@ def main(argv=None):
     p_pen = sub.add_parser("penrose", help="bulk/boundary mass report")
     _add_common(p_pen)
     _add_metric_flags(p_pen)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     _thread_cap()
     try:
         if args.command == "mass":

@@ -10,10 +10,12 @@ and the derived objects: scalar curvature, Weyl/sigma_2 split, the
 Gauss-Bonnet curvatures L_k, the divergence-free curvature 2-tensors
 E^(k), and the rank-4 flux tensors P_(k).
 
-riemann takes Gamma and R_ijkl by one of two routes: from the metric's
-closed-form eval_curvature when it has one (graph metrics, by the Gauss
-equation), else by differentiating Gamma with its eval_d2g.  The other
-bundle fields are built the same way on both routes.
+riemann has one route for every metric: R_ijkl from the metric's
+closed-form eval_curvature (warped-product curvature for radial
+metrics, the Gauss equation for graphs, a pullback through the
+Jacobian for pushforwards), the other curvature fields from it, and
+Gamma from dg and g^-1 when first read.  No second derivative of g is
+evaluated; a metric without the hook raises ValueError.
 
 L_k, E^(k) and P_(k) share one engine, the double-form route (Labbi,
 Double forms, curvature structures and the (p,q)-curvatures, Trans. AMS
@@ -39,6 +41,7 @@ one and two threads).
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,47 +78,36 @@ class CurvatureBundle:
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray
-    gamma: np.ndarray
     riemann_lo: np.ndarray
     riemann_mix: np.ndarray
     ricci: np.ndarray
     scalar: np.ndarray
 
-
-def _christoffel_curvature(g, pts, gv, dg, ginv):
-    """(gamma, riemann_lo) by differentiating the Christoffel symbols."""
-    d2g = g.eval_d2g(pts)
-    # U[x,s,i,j] = d_j g_si + d_i g_sj - d_s g_ij
-    U = dg + dg.transpose(0, 1, 3, 2) - dg.transpose(0, 3, 1, 2)
-    gamma = 0.5 * np.einsum('xks,xsij->xkij', ginv, U)
-    dU = (d2g + d2g.transpose(0, 1, 3, 2, 4)
-          - d2g.transpose(0, 3, 1, 2, 4))
-    dginv = -np.einsum('xka,xabl,xbs->xksl', ginv, dg, ginv, optimize=True)
-    dgamma = 0.5 * (np.einsum('xksl,xsij->xkijl', dginv, U)
-                    + np.einsum('xks,xsijl->xkijl', ginv, dU))
-    # R^m_{ijk} = d_i Gamma^m_jk - d_j Gamma^m_ik + Gamma Gamma terms
-    r_updown = (np.einsum('xmjki->xmijk', dgamma)
-                - np.einsum('xmikj->xmijk', dgamma)
-                + np.einsum('xmis,xsjk->xmijk', gamma, gamma)
-                - np.einsum('xmjs,xsik->xmijk', gamma, gamma))
-    return gamma, np.einsum('xmijl,xmk->xijkl', r_updown, gv)
+    @cached_property
+    def gamma(self):
+        """Gamma^k_ij from dg and ginv, built on first use: of the
+        library only divergence_of_P reads it."""
+        dg = self.dg
+        # U[x,s,i,j] = d_j g_si + d_i g_sj - d_s g_ij
+        U = dg + dg.transpose(0, 1, 3, 2) - dg.transpose(0, 3, 1, 2)
+        return 0.5 * np.einsum('xks,xsij->xkij', self.ginv, U)
 
 
 def riemann(g, x):
     """Full curvature bundle at a batch of points."""
     pts, _ = _metrics._batch(x)
+    if g.eval_curvature is None:
+        raise ValueError(f"{g.name}: metric has no closed-form curvature "
+                         "(eval_curvature is None)")
     gv = g.eval_g(pts)
     dg = g.eval_dg(pts)
     ginv = np.linalg.inv(gv)
-    if g.eval_curvature is not None:
-        gamma, riemann_lo = g.eval_curvature(pts)
-    else:
-        gamma, riemann_lo = _christoffel_curvature(g, pts, gv, dg, ginv)
+    riemann_lo = g.eval_curvature(pts)
     riemann_mix = np.einsum('xijef,xec,xfd->xijcd', riemann_lo, ginv, ginv,
                             optimize=True)
     ricci = np.einsum('xjl,xijkl->xik', ginv, riemann_lo)
     scalar = np.einsum('xik,xik->x', ginv, ricci)
-    return CurvatureBundle(g=gv, ginv=ginv, dg=dg, gamma=gamma,
+    return CurvatureBundle(g=gv, ginv=ginv, dg=dg,
                            riemann_lo=riemann_lo, riemann_mix=riemann_mix,
                            ricci=ricci, scalar=scalar)
 

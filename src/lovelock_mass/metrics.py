@@ -8,11 +8,12 @@ g_ij = delta_ij + (A(r) - 1) x_i x_j / r^2.
 Evaluator conventions
 ---------------------
 Evaluators take a point (n,) or a batch (B, n), and raise ValueError on
-more leading axes.  g has shape (..., n, n), dg (..., n, n, n) with the
-derivative index last (dg[..., i, j, k] = d_k g_ij), and d2g
-(..., n, n, n, n) with two trailing derivative indices; ... is () or
-(B,).  Graph metrics give their curvature by eval_curvature instead of
-d2g.  No metric has a third derivative: eval_d3g is None throughout.
+more leading axes.  g has shape (..., n, n) and dg (..., n, n, n) with
+the derivative index last (dg[..., i, j, k] = d_k g_ij); ... is () or
+(B,).  Every family gives its curvature in closed form by
+eval_curvature, (B, n) -> R_ijkl of shape (B, n, n, n, n); only the
+from_g_only adapter has none.  No metric has a second or third
+derivative evaluator: eval_d2g and eval_d3g are None throughout.
 """
 
 import itertools
@@ -94,16 +95,6 @@ def central_difference(fun, pts, h):
     return np.stack(cols, axis=-1)
 
 
-def _fd_derivative(fun):
-    """Evaluator of the next derivative of fun, central differences on
-    the wide step."""
-    def ev(x):
-        pts, single = _batch(x)
-        return _unbatch(central_difference(fun, pts, fd_step_second(pts)),
-                        single)
-    return ev
-
-
 @dataclass(frozen=True)
 class MetricField:
     """A Riemannian metric on a region of R^n given by pointwise evaluators.
@@ -111,15 +102,16 @@ class MetricField:
     Fields
     ------
     n : dimension (>= 4 for all mass computations)
-    eval_g, eval_dg, eval_d2g : batched evaluators, see module docstring
-        for the index layout (d2g may be None)
-    eval_d3g : always None; nothing computes third derivatives
+    eval_g, eval_dg : batched evaluators, see module docstring for the
+        index layout
+    eval_d2g, eval_d3g : always None; nothing differentiates g twice
     tau : declared decay order of g - delta (TAU_INFINITE for exact flat)
-    derivative_provenance : "analytic" when dg and d2g come from closed
-        forms, "finite-difference" otherwise
+    derivative_provenance : "analytic" when dg and the curvature come
+        from closed forms, "finite-difference" otherwise
     name : short identifier used in reports
-    eval_curvature : optional closed form (B, n) -> (gamma, riemann_lo)
-        in the CurvatureBundle layout, which riemann uses instead of d2g
+    eval_curvature : closed form (B, n) -> R_ijkl in the CurvatureBundle
+        layout, the only source of curvature riemann reads; None only
+        for from_g_only, on which riemann raises ValueError
     """
 
     n: int
@@ -210,7 +202,9 @@ def _scalar_radial_derivatives(profile, pts, r, order):
 
 def radial_metric(n, a_profile, b_profile, tau, r_min=0.0,
                   domain_check=None, name="radial"):
-    """Metric g_ij = a(r) delta_ij + b(r) x_i x_j with analytic derivatives.
+    """Metric g_ij = a(r) delta_ij + b(r) x_i x_j with analytic dg and
+    closed-form curvature (the warped-product curvature of a rotationally
+    symmetric metric; Petersen, Riemannian Geometry, 3rd ed., 2016).
 
     b_profile may be None for a conformal (pure a) metric.  Queries with
     r <= r_min, or failing the optional domain_check(r) predicate, raise
@@ -238,14 +232,14 @@ def radial_metric(n, a_profile, b_profile, tau, r_min=0.0,
 
     def eval_g(x):
         pts, single, r = _parts(x)
-        g = profile_a(r)[:, None, None] * eye[None]
+        g = a_profile(r)[:, None, None] * eye[None]
         if b_profile is not None:
             g = g + b_profile(r)[:, None, None] * pts[:, :, None] * pts[:, None, :]
         return _unbatch(g, single)
 
     def eval_dg(x):
         pts, single, r = _parts(x)
-        _, da = _scalar_radial_derivatives(profile_a, pts, r, 1)
+        _, da = _scalar_radial_derivatives(a_profile, pts, r, 1)
         out = eye[None, :, :, None] * da[:, None, None, :]
         if b_profile is not None:
             b0, db = _scalar_radial_derivatives(b_profile, pts, r, 1)
@@ -256,28 +250,38 @@ def radial_metric(n, a_profile, b_profile, tau, r_min=0.0,
             out = out + xx[:, :, :, None] * db[:, None, None, :] + b0[:, None, None, None] * d1xx
         return _unbatch(out, single)
 
-    def eval_d2g(x):
-        pts, single, r = _parts(x)
-        _, _, d2a = _scalar_radial_derivatives(profile_a, pts, r, 2)
-        out = eye[None, :, :, None, None] * d2a[:, None, None, :, :]
-        if b_profile is not None:
-            b0, db, d2b = _scalar_radial_derivatives(b_profile, pts, r, 2)
-            xx = pts[:, :, None] * pts[:, None, :]
-            d1xx = (eye[None, :, None, :] * pts[:, None, :, None]
-                    + eye[None, None, :, :] * pts[:, :, None, None])
-            d2xx = (eye[:, None, :, None] * eye[None, :, None, :]
-                    + eye[:, None, None, :] * eye[None, :, :, None])[None]
-            out = (out
-                   + xx[:, :, :, None, None] * d2b[:, None, None, :, :]
-                   + d1xx[:, :, :, :, None] * db[:, None, None, None, :]
-                   + d1xx[:, :, :, None, :] * db[:, None, None, :, None]
-                   + b0[:, None, None, None, None] * d2xx)
-        return _unbatch(out, single)
+    def eval_curvature(pts):
+        # A dr^2 + phi^2 dTheta^2 with A = a + b r^2, phi = r sqrt(a) has
+        # sectional curvature K_rad on planes holding nu = x/r and K_tan
+        # on planes tangent to the spheres, so R = delta o M with
+        # M = alpha delta + beta nu nu^T (o: Kulkarni-Nomizu product)
+        pts, _, r = _parts(pts)
+        a, a1, a2 = a_profile(r), a_profile.d1(r), a_profile.d2(r)
+        b, b1 = ((b_profile(r), b_profile.d1(r)) if b_profile is not None
+                 else (np.zeros_like(r), np.zeros_like(r)))
+        A = a + b * r ** 2
+        dA = a1 + b1 * r ** 2 + 2.0 * b * r
+        s = np.sqrt(a)
+        phi, dphi = r * s, s + r * a1 / (2.0 * s)
+        d2phi = a1 / s + r * (a2 / (2.0 * s) - a1 ** 2 / (4.0 * a * s))
+        k_rad = -(d2phi / A - dphi * dA / (2.0 * A ** 2)) / phi
+        # (1 - phi'^2 / A) / phi^2 without the cancellation of 1 - phi'^2/A
+        k_tan = (b - a1 / r - a1 ** 2 / (4.0 * a)) / (a * A)
+        alpha = k_tan * a ** 2 / 2.0
+        beta = k_tan * a * b * r ** 2 + (k_rad - k_tan) * a * A
+        nu = pts / r[:, None]
+        M = (alpha[:, None, None] * eye
+             + beta[:, None, None] * nu[:, :, None] * nu[:, None, :])
+        # T = delta_ik M_jl, then + delta_jl M_ik, then R = T - T[k <-> l];
+        # rebinding keeps at most two (B, n, n, n, n) arrays alive
+        T = eye[None, :, None, :, None] * M[:, None, :, None, :]
+        T = T + T.transpose(0, 2, 1, 4, 3)
+        return T - T.swapaxes(3, 4)
 
-    profile_a = a_profile
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
-                       eval_d2g=eval_d2g, eval_d3g=None,
-                       tau=tau, derivative_provenance="analytic", name=name)
+                       eval_d2g=None, eval_d3g=None,
+                       tau=tau, derivative_provenance="analytic", name=name,
+                       eval_curvature=eval_curvature)
 
 
 def _const_profile(value):
@@ -302,8 +306,9 @@ def euclidean(n):
         return ev
 
     return MetricField(n=n, eval_g=eval_g, eval_dg=_zeros(3),
-                       eval_d2g=_zeros(4), eval_d3g=None,
-                       tau=TAU_INFINITE, name="euclidean")
+                       eval_d2g=None, eval_d3g=None,
+                       tau=TAU_INFINITE, name="euclidean",
+                       eval_curvature=_zeros(4))
 
 
 def schwarzschild_family(k, n, m, chart="conformal"):
@@ -377,8 +382,7 @@ def graph_metric(f):
 
     f must provide batched grad/hess evaluators (see graphcase).  g and
     dg are assembled from them, and so is the curvature, by the Gauss
-    equation with w = 1 + |df|^2:
-    Gamma^k_ij = f_k f_ij / w,  R_ijkl = (f_ik f_jl - f_il f_jk) / w.
+    equation with w = 1 + |df|^2: R_ijkl = (f_ik f_jl - f_il f_jk) / w.
     """
     n = f.n
     eye = np.eye(n)
@@ -402,10 +406,9 @@ def graph_metric(f):
         df = f.grad(pts)
         d2f = f.hess(pts)
         w = 1.0 + np.einsum('xi,xi->x', df, df)
-        gamma = df[:, :, None, None] * d2f[:, None, :, :] / w[:, None, None, None]
         # hh[x, i, j, k, l] = f_ik f_jl
         hh = d2f[:, :, None, :, None] * d2f[:, None, :, None, :]
-        return gamma, (hh - hh.swapaxes(3, 4)) / w[:, None, None, None, None]
+        return (hh - hh.swapaxes(3, 4)) / w[:, None, None, None, None]
 
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
                        eval_d2g=None, eval_d3g=None,
@@ -469,20 +472,7 @@ def egb_blackhole(n, alpha, m):
 
 def identity_change(n):
     """The trivial coordinate change."""
-    def forward(x):
-        return np.asarray(x, dtype=float).copy()
-
-    def jacobian(x):
-        pts, single = _batch(x)
-        return _unbatch(np.broadcast_to(np.eye(n), (len(pts), n, n)).copy(), single)
-
-    def d_jacobian(x):
-        pts, single = _batch(x)
-        return _unbatch(np.zeros((len(pts), n, n, n)), single)
-
-    return CoordinateChange(n=n, forward=forward, jacobian=jacobian,
-                            d_jacobian=d_jacobian, decay=TAU_INFINITE,
-                            name="identity")
+    return replace(rotation_change(np.eye(n)), name="identity")
 
 
 def rotation_change(Q):
@@ -580,9 +570,9 @@ def _pushforward(g, c):
     """The metric g expressed in the new coordinates of a CoordinateChange.
 
     ghat_ab(xhat) = J^i_a J^j_b g_ij(psi(xhat)); the first derivative is
-    assembled by the chain rule, the second by central differences of
-    the first.  g's eval_curvature is not carried over: it gives the
-    curvature in the old coordinates.
+    assembled by the chain rule, and the curvature pulled back from g's:
+    Rhat_abcd = J^i_a J^j_b J^k_c J^l_d R_ijkl(psi(xhat)).  The declared
+    decay is the slower of g's and the change's.
     """
     n = g.n
 
@@ -607,17 +597,26 @@ def _pushforward(g, c):
                            optimize=True))
         return _unbatch(out, single)
 
+    def eval_curvature(pts):
+        J = c.jacobian(pts)
+        R = g.eval_curvature(c.forward(pts))
+        return np.einsum('xia,xjb,xkc,xld,xijkl->xabcd', J, J, J, J, R,
+                         optimize=True)
+
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
-                       eval_d2g=_fd_derivative(eval_dg), eval_d3g=None,
-                       tau=g.tau, derivative_provenance="finite-difference",
-                       name=f"pushforward({g.name},{c.name})")
+                       eval_d2g=None, eval_d3g=None,
+                       tau=min(g.tau, c.decay),
+                       derivative_provenance=g.derivative_provenance,
+                       name=f"pushforward({g.name},{c.name})",
+                       eval_curvature=(None if g.eval_curvature is None
+                                       else eval_curvature))
 
 
 def from_g_only(n, eval_g_batched, tau, name="fd-metric"):
     """Adapter: build a MetricField from a bare batched g evaluator.
 
-    Both derivatives are central finite differences (first order with
-    the tight step, second order nested on the wide step).
+    dg is a central finite difference on the tight step.  The metric has
+    no curvature hook, so riemann raises ValueError on it.
     """
     def eval_dg(x):
         pts, single = _batch(x)
@@ -629,6 +628,6 @@ def from_g_only(n, eval_g_batched, tau, name="fd-metric"):
         return _unbatch(eval_g_batched(pts), single)
 
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
-                       eval_d2g=_fd_derivative(eval_dg), eval_d3g=None,
+                       eval_d2g=None, eval_d3g=None,
                        tau=tau, derivative_provenance="finite-difference",
                        name=name)

@@ -1,9 +1,9 @@
 """Combinatorial kernel for antisymmetrized tensor contractions.
 
-Generalized Kronecker deltas, permutation signs, and precomputed wedge
-tables for the delta-contracted curvature polynomials.  All public
-indices are 0-based; the classical formulas use 1-based labels, shift
-by one when comparing with a textbook display.
+Relative permutation signs and precomputed wedge tables for the
+delta-contracted curvature polynomials.  All public indices are
+0-based; the classical formulas use 1-based labels, shift by one when
+comparing with a textbook display.
 
 The Gauss-Bonnet curvature L_k, the Lovelock tensor E^(k) and the flux
 tensor P_(k) are one contraction: a generalized delta of order 2q + f
@@ -38,21 +38,12 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "gen_kronecker_delta",
-    "permutation_sign",
     "relative_sign",
     "WedgeTable",
     "lovelock_scalar_table",
     "p_tensor_table",
     "lovelock_einstein_table",
 ]
-
-MAX_DELTA_ORDER = 6
-
-
-def permutation_sign(perm):
-    """Sign of a permutation given as a tuple of distinct integers."""
-    return relative_sign(tuple(sorted(perm)), tuple(perm))
 
 
 def relative_sign(src, dst):
@@ -73,42 +64,6 @@ def relative_sign(src, dst):
         if cycle % 2 == 0:
             sign = -sign
     return sign
-
-
-@lru_cache(maxsize=None)
-def _delta_cached(upper, lower):
-    # Laplace expansion of det(delta^{u_a}_{l_b}) in exact ints.
-    r = len(upper)
-    if r == 1:
-        return 1 if upper[0] == lower[0] else 0
-    total = 0
-    for b, lv in enumerate(lower):
-        if upper[0] != lv:
-            continue
-        minor = _delta_cached(upper[1:], lower[:b] + lower[b + 1:])
-        total += (-1) ** b * minor
-    return total
-
-
-def gen_kronecker_delta(upper, lower, n=None):
-    """Generalized Kronecker delta of matching upper/lower index tuples.
-
-    Returns det(delta^{u_a}_{l_b}), an integer in {-1, 0, +1}.  Raises
-    ValueError on length mismatch, empty tuples, order above
-    MAX_DELTA_ORDER, or (when n is given) out-of-range entries.
-    """
-    upper, lower = tuple(upper), tuple(lower)
-    if len(upper) != len(lower):
-        raise ValueError("upper and lower index tuples differ in length")
-    if not 1 <= len(upper) <= MAX_DELTA_ORDER:
-        raise ValueError(f"delta order must be in [1, {MAX_DELTA_ORDER}]")
-    if n is not None:
-        for v in upper + lower:
-            if not 0 <= v < n:
-                raise ValueError(f"index {v} out of range for dimension {n}")
-    if len(set(upper)) < len(upper) or set(upper) != set(lower):
-        return 0
-    return _delta_cached(upper, lower)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,14 @@ parametrization with difference-quotient fundamental forms.
 
 p_tensor_closed_form is the Ricci-form closed formula for P_(2) on the
 library's curvature bundle, the reference for the delta-table tensor.
-christoffel_graph_metric is the library's graph metric with its
-Gauss-equation curvature taken away, so that riemann differentiates its
-Christoffel symbols instead; the third derivatives of f this needs are
-central differences of the analytic Hessian.
+christoffel_curvature is the library's former curvature route: R_ijkl
+by differentiating the Christoffel symbols, from g, dg and d2g.
+christoffel_metric swaps a metric's closed-form curvature for it, given
+a d2g evaluator: radial_d2g (the former analytic d2g of radial metrics,
+with the profiles radial_profiles captures from a family factory), the
+graph d2g of christoffel_graph_metric (third derivatives of f by
+central differences of the analytic Hessian), or a central difference
+of dg (fd_d2g).
 
 The reference term-table builders are the library's former nested-loop
 builders: one Python loop per term, over canonical matchings and
@@ -28,11 +32,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
+import sympy as sp
 
 from lovelock_mass import metrics
-from lovelock_mass.multiindex import permutation_sign, relative_sign
+from lovelock_mass.multiindex import relative_sign
 
 _MAX_BRUTE_ORDER = 5
 
@@ -540,11 +546,97 @@ def p_tensor_closed_form(bund):
 
 
 # ---------------------------------------------------------------------------
-# Christoffel route for graph metrics
+# Christoffel route: curvature from second derivatives of g
+
+
+def christoffel_curvature(gv, dg, d2g):
+    """R_ijkl at a batch by differentiating the Christoffel symbols,
+    R^m_ijk = d_i Gamma^m_jk - d_j Gamma^m_ik + Gamma Gamma."""
+    ginv = np.linalg.inv(gv)
+    # U[x,s,i,j] = d_j g_si + d_i g_sj - d_s g_ij
+    U = dg + dg.transpose(0, 1, 3, 2) - dg.transpose(0, 3, 1, 2)
+    gamma = 0.5 * np.einsum('xks,xsij->xkij', ginv, U)
+    dU = (d2g + d2g.transpose(0, 1, 3, 2, 4)
+          - d2g.transpose(0, 3, 1, 2, 4))
+    dginv = -np.einsum('xka,xabl,xbs->xksl', ginv, dg, ginv, optimize=True)
+    dgamma = 0.5 * (np.einsum('xksl,xsij->xkijl', dginv, U)
+                    + np.einsum('xks,xsijl->xkijl', ginv, dU))
+    r_updown = (np.einsum('xmjki->xmijk', dgamma)
+                - np.einsum('xmikj->xmijk', dgamma)
+                + np.einsum('xmis,xsjk->xmijk', gamma, gamma)
+                - np.einsum('xmjs,xsik->xmijk', gamma, gamma))
+    return np.einsum('xmijl,xmk->xijkl', r_updown, gv)
+
+
+def christoffel_metric(g, eval_d2g):
+    """g with its curvature hook replaced by the Christoffel route on
+    the batched second-derivative evaluator eval_d2g."""
+    def eval_curvature(pts):
+        return christoffel_curvature(g.eval_g(pts), g.eval_dg(pts),
+                                     eval_d2g(pts))
+
+    return dataclasses.replace(g, eval_curvature=eval_curvature)
+
+
+def fd_d2g(g):
+    """Batched d2g of g by central differences of eval_dg on the wide
+    step."""
+    return lambda pts: metrics.central_difference(
+        g.eval_dg, pts, metrics.fd_step_second(pts))
+
+
+def radial_profiles(factory, *args, **kwargs):
+    """(g, a_profile, b_profile): factory(*args, **kwargs), a radial
+    family, with the profiles it passed to metrics.radial_metric."""
+    seen = []
+    build = metrics.radial_metric
+
+    def spy(n, a_profile, b_profile, *rest, **kw):
+        seen.append((a_profile, b_profile))
+        return build(n, a_profile, b_profile, *rest, **kw)
+
+    with mock.patch.object(metrics, "radial_metric", spy):
+        g = factory(*args, **kwargs)
+    return (g,) + seen[-1]
+
+
+def radial_families(n):
+    """radial_profiles of each radial family at dimension n: Schwarzschild
+    in both charts, EGB and conformal-radial."""
+    r = sp.Symbol("r", positive=True)
+    yield radial_profiles(metrics.schwarzschild_family, 2, n, 1.0,
+                          chart="conformal")
+    yield radial_profiles(metrics.schwarzschild_family, 1, n, 0.8,
+                          chart="rho")
+    yield radial_profiles(metrics.egb_blackhole, n, 0.05, 0.8)
+    yield radial_profiles(metrics.conformal_radial, n, metrics.RadialProfile(
+        sp.Rational(1, 4) / (1 + r ** 2), r))
+
+
+def radial_d2g(a_profile, b_profile, pts):
+    """Analytic d_k d_l g_ij of a(r) delta_ij + b(r) x_i x_j at a batch;
+    b_profile may be None."""
+    eye = np.eye(pts.shape[-1])
+    r = np.linalg.norm(pts, axis=-1)
+    _, _, d2a = metrics._scalar_radial_derivatives(a_profile, pts, r, 2)
+    out = eye[None, :, :, None, None] * d2a[:, None, None, :, :]
+    if b_profile is not None:
+        b0, db, d2b = metrics._scalar_radial_derivatives(b_profile, pts, r, 2)
+        xx = pts[:, :, None] * pts[:, None, :]
+        d1xx = (eye[None, :, None, :] * pts[:, None, :, None]
+                + eye[None, None, :, :] * pts[:, :, None, None])
+        d2xx = (eye[:, None, :, None] * eye[None, :, None, :]
+                + eye[:, None, None, :] * eye[None, :, :, None])[None]
+        out = (out
+               + xx[:, :, :, None, None] * d2b[:, None, None, :, :]
+               + d1xx[:, :, :, :, None] * db[:, None, None, None, :]
+               + d1xx[:, :, :, None, :] * db[:, None, None, :, None]
+               + b0[:, None, None, None, None] * d2xx)
+    return out
 
 
 def christoffel_graph_metric(f):
-    """graph_metric(f) without eval_curvature, with an eval_d2g of
+    """graph_metric(f) on the Christoffel route, with the d2g
     d_k d_l (f_i f_j) built from d3f = central differences of f.hess."""
     def eval_d2g(pts):
         df = f.grad(pts)
@@ -555,8 +647,7 @@ def christoffel_graph_metric(f):
                 + d2f[:, :, None, None, :] * d2f[:, None, :, :, None]
                 + df[:, :, None, None, None] * d3f[:, None, :, :, :])
 
-    return dataclasses.replace(metrics.graph_metric(f), eval_d2g=eval_d2g,
-                               eval_curvature=None)
+    return christoffel_metric(metrics.graph_metric(f), eval_d2g)
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +832,7 @@ def _pattern(q, f):
     for fu in itertools.combinations(range(m), f):
         rest = [p for p in range(m) if p not in fu]
         lowers = ascending_block_orderings(rest + list(fu), q)
-        lo_signs = np.array([permutation_sign(lo) for lo in lowers], dtype=float)
+        lo_signs = np.array([_perm_sign(lo) for lo in lowers], dtype=float)
         # moving the free indices to the front of both rows crosses the
         # same 2q indices twice: the sign stays
         lo_rows = np.roll(np.array(lowers, dtype=np.intp).reshape(-1, m), f,
@@ -749,7 +840,7 @@ def _pattern(q, f):
         for up in canonical_matchings(rest):
             up = up + fu
             # both rows order range(m): the sign of lo -> up
-            signs.append(permutation_sign(up) * lo_signs)
+            signs.append(_perm_sign(up) * lo_signs)
             ups.append(np.broadcast_to(up[2 * q:] + up[:2 * q], lo_rows.shape))
             los.append(lo_rows)
     return np.concatenate(signs), np.concatenate(ups), np.concatenate(los)

@@ -95,6 +95,21 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_cached_parser_parses_fresh():
+    # main reuses one parser; no flag of one parse may leak into the next
+    assert cli._parser() is cli._parser()
+    first = cli._parser().parse_args(
+        ["mass", "--metric", "euclidean", "--n", "7", "--radii", "2,4"])
+    second = cli._parser().parse_args(["mass"])
+    third = cli._parser().parse_args(["verify", "--suite", "sigma2"])
+    assert first is not second
+    assert (first.metric, first.n, first.radii) == ("euclidean", 7, [2.0, 4.0])
+    assert (second.metric, second.n, second.radii) == (None, None, None)
+    assert third.command == "verify" and third.n is None
+    assert not hasattr(third, "metric")
+    assert first.n == 7 and first.command == "mass"
+
+
 def test_unknown_family_rejected(capsys):
     assert run(["mass", "--metric", "kerr", "--n", "5"]) == 1
     assert "unknown metric.family" in capsys.readouterr().err

@@ -81,6 +81,84 @@ def test_graph_gauss_equation_matches_christoffel_route():
                 assert np.abs(a - b).max() <= tol * scale, (n, f.name, field)
 
 
+_BUNDLE_FIELDS = ("g", "ginv", "dg", "gamma", "riemann_lo", "riemann_mix",
+                  "ricci", "scalar")
+
+
+def _pointwise_gap(a, b):
+    """Largest |a - b| of each bundle field at each point over the size
+    of b's R_ijkl there."""
+    scale = np.abs(b.riemann_lo).reshape(len(b.g), -1).max(axis=1)
+    return {field: float((np.abs(getattr(a, field) - getattr(b, field))
+                          .reshape(len(scale), -1).max(axis=1) / scale).max())
+            for field in _BUNDLE_FIELDS}
+
+
+def _rotate(field, Q):
+    """field[x, i, j, ...] with Q[i, a] applied on every component axis:
+    the tensor in the coordinates xhat = Q^T x, either index position."""
+    for axis in range(1, field.ndim):
+        field = np.moveaxis(np.tensordot(field, Q, axes=([axis], [0])),
+                            -1, axis)
+    return field
+
+
+def test_closed_form_curvature_matches_christoffel_route():
+    # every family's curvature hook against the Christoffel route of the
+    # oracles, field by field, relative to |R_ijkl| at each point
+    rng = np.random.default_rng(27)
+    for n in (5, 6, 7, 8):
+        u = _shell_points(rng, n, 48, 1.0, 1.0)
+        pts = u * np.geomspace(1.5, 160.0, len(u))[:, None]
+        for g, a, b in oracles.radial_families(n):
+            ref = oracles.christoffel_metric(
+                g, lambda p, a=a, b=b: oracles.radial_d2g(a, b, p))
+            gap = _pointwise_gap(curvature.riemann(g, pts),
+                                 curvature.riemann(ref, pts))
+            assert max(gap.values()) <= 1e-12, (n, g.name, gap)
+        # a pushforward pulls R back through the Jacobian; the oracle
+        # differentiates its dg by central differences, whose absolute
+        # error is measured against each field's largest value
+        base = metrics.schwarzschild_family(2, n, 1.0, chart="conformal")
+        ghat = metrics.pushforward(base, metrics.perturbation_change(
+            n, metrics.radial_decay_profile(0.1, 1.0), decay=1.0))
+        near = pts[np.linalg.norm(pts, axis=1) <= 20.0]
+        fast = curvature.riemann(ghat, near)
+        ref = curvature.riemann(
+            oracles.christoffel_metric(ghat, oracles.fd_d2g(ghat)), near)
+        for field in _BUNDLE_FIELDS:
+            a, b = getattr(fast, field), getattr(ref, field)
+            assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max(), (n, field)
+        # a rotation moves every bundle field by Q on each index; a
+        # transposed Jacobian in the pullback would not
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        f = graphcase.gaussian_bump_graph(n, rng.normal(size=(2, n)) * 2.0,
+                                          [0.5, -0.4], [1.4, 2.1])
+        xhat = _shell_points(rng, n, 32, 1.0, 6.0)
+        rot = curvature.riemann(
+            metrics.pushforward(f.metric, metrics.rotation_change(Q)), xhat)
+        moved = curvature.riemann(f.metric, xhat @ Q.T)
+        for field in _BUNDLE_FIELDS:
+            a, b = getattr(rot, field), _rotate(getattr(moved, field), Q)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (n, field)
+
+
+def test_riemann_needs_a_curvature_hook():
+    n = 5
+    x = _points(np.random.default_rng(28), n, 4)
+    bare = metrics.from_g_only(n, metrics.euclidean(n).eval_g, tau=np.inf)
+    rot = metrics.rotation_change(np.eye(n)[::-1])
+    for g in (bare, metrics.pushforward(bare, rot)):
+        assert g.eval_curvature is None
+        with pytest.raises(ValueError, match="curvature"):
+            curvature.riemann(g, x)
+    f = _bump_graph(n)
+    for g in [bare, metrics.euclidean(n), f.metric,
+              metrics.pushforward(f.metric, rot)] + [
+                  h for h, _, _ in oracles.radial_families(n)]:
+        assert g.eval_d2g is None and g.eval_d3g is None, g.name
+
+
 def test_riemann_symmetries_and_bianchi():
     rng = np.random.default_rng(22)
     for g in (_conformal(), _bump_graph().metric):

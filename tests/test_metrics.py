@@ -13,12 +13,8 @@ def _random_points(rng, n, count, lo=1.5, hi=4.0):
 
 
 def _families(n=5):
-    r = sp.Symbol("r", positive=True)
-    yield metrics.schwarzschild_family(2, n, 1.0, chart="conformal")
-    yield metrics.schwarzschild_family(1, n, 0.8, chart="rho")
-    yield metrics.egb_blackhole(n, 0.05, 0.8)
-    yield metrics.conformal_radial(n, metrics.RadialProfile(
-        sp.Rational(1, 4) / (1 + r ** 2), r))
+    for g, _, _ in oracles.radial_families(n):
+        yield g
 
 
 def test_euclidean_is_flat():
@@ -26,7 +22,8 @@ def test_euclidean_is_flat():
     x = np.array([1.0, -2.0, 0.5, 3.0, 0.1])
     assert np.array_equal(g.eval_g(x), np.eye(5))
     assert not g.eval_dg(x).any()
-    assert not g.eval_d2g(x).any()
+    assert g.eval_d2g is None
+    assert not g.eval_curvature(x[None]).any()
     assert np.isinf(g.tau)
 
 
@@ -36,11 +33,8 @@ def test_evaluators_take_a_point_or_one_batch_axis():
     for g in (metrics.euclidean(5), next(_families()), f.metric):
         assert g.eval_g(x[0, 0]).shape == (5, 5)
         assert g.eval_dg(x[0]).shape == (3, 5, 5, 5)
-        # extra leading axes used to be flattened into one batch axis;
-        # the graph metric has no eval_d2g (Gauss-equation curvature)
-        for ev in (g.eval_g, g.eval_dg, g.eval_d2g):
-            if ev is None:
-                continue
+        # extra leading axes used to be flattened into one batch axis
+        for ev in (g.eval_g, g.eval_dg):
             with pytest.raises(ValueError, match="shape"):
                 ev(x)
     with pytest.raises(ValueError, match="shape"):
@@ -66,7 +60,7 @@ def test_radial_evaluators_take_only_the_jets_they_return():
     plain = metrics.radial_metric(5, metrics.RadialProfile(a, r),
                                   metrics.RadialProfile(b, r), tau=1.0)
     x = _random_points(np.random.default_rng(7), 5, 16)
-    for top, name in ((0, "eval_g"), (1, "eval_dg"), (2, "eval_d2g")):
+    for top, name in ((0, "eval_g"), (1, "eval_dg"), (2, "eval_curvature")):
         g = metrics.radial_metric(5, _Truncated(a, r, top),
                                   _Truncated(b, r, top), tau=1.0)
         assert np.array_equal(getattr(g, name)(x), getattr(plain, name)(x))
@@ -74,14 +68,16 @@ def test_radial_evaluators_take_only_the_jets_they_return():
 
 def test_analytic_derivatives_match_finite_differences():
     rng = np.random.default_rng(10)
-    for g in _families():
+    for g, a, b in oracles.radial_families(5):
         pts = _random_points(rng, g.n, 50, lo=2.0, hi=4.0)
         for x in pts[:6]:
             dg, d2g, _ = oracles.fd_metric_derivatives(g, x)
             scale1 = 1.0 + np.abs(dg).max()
             scale2 = 1.0 + np.abs(d2g).max()
             assert np.abs(dg - g.eval_dg(x)).max() <= 1e-6 * scale1
-            assert np.abs(d2g - g.eval_d2g(x)).max() <= 1e-4 * scale2
+            # the oracle's analytic d2g, which the Christoffel route reads
+            assert np.abs(d2g - oracles.radial_d2g(a, b, x[None])[0]).max() \
+                <= 1e-4 * scale2
         # cheap first-order screen on the rest of the 50 points
         for x in pts[6:]:
             dg = oracles._central_d1(g.eval_g, x, 1e-5, richardson=True)
@@ -91,14 +87,14 @@ def test_analytic_derivatives_match_finite_differences():
 
 def test_metric_symmetry_and_positivity():
     rng = np.random.default_rng(11)
-    for g in _families():
+    for g, a, b in oracles.radial_families(5):
         pts = _random_points(rng, g.n, 20, lo=2.0, hi=5.0)
         gv = g.eval_g(pts)
         assert np.abs(gv - gv.transpose(0, 2, 1)).max() < 1e-14
         assert np.linalg.eigvalsh(gv).min() > 0
         dg = g.eval_dg(pts)
         assert np.abs(dg - dg.transpose(0, 2, 1, 3)).max() < 1e-12
-        d2g = g.eval_d2g(pts)
+        d2g = oracles.radial_d2g(a, b, pts)
         assert np.abs(d2g - d2g.transpose(0, 1, 2, 4, 3)).max() < 1e-10
 
 
@@ -163,13 +159,13 @@ def test_conformal_radial_hessian_structure():
     # read off the metric second derivatives of g = e^{-2u} delta
     r = sp.Symbol("r", positive=True)
     prof = metrics.RadialProfile(sp.Rational(1, 3) / (1 + r ** 2), r)
-    g = metrics.conformal_radial(5, prof)
+    _, a, b = oracles.radial_profiles(metrics.conformal_radial, 5, prof)
     rv = 2.0
     x = np.zeros(5)
     x[0] = rv
     # d_a d_b of the conformal factor F = e^{-2u}:
     # F_ab = e^{-2u} (4 u_a u_b - 2 u_ab); diagonal metric entries carry F
-    d2g = g.eval_d2g(x)
+    d2g = oracles.radial_d2g(a, b, x[None])[0]
     u, ur, urr = float(prof(rv)), float(prof.d1(rv)), float(prof.d2(rv))
     F = np.exp(-2 * u)
     f11 = F * (4 * ur * ur - 2 * urr)
@@ -247,6 +243,16 @@ def test_pushforward_identity_and_rotation():
     assert np.abs(rot.eval_g(x) - np.eye(5)).max() < 1e-12
 
 
+def test_pushforward_declares_the_slower_decay():
+    g = metrics.schwarzschild_family(2, 6, 1.0)  # tau = n/k - 2 = 1
+    for decay, expected in ((0.5, 0.5), (3.0, 1.0)):
+        c = metrics.perturbation_change(
+            6, metrics.radial_decay_profile(0.1, decay), decay=decay)
+        assert metrics.pushforward(g, c).tau == expected
+    Q = np.linalg.qr(np.random.default_rng(16).normal(size=(6, 6)))[0]
+    assert metrics.pushforward(g, metrics.rotation_change(Q)).tau == g.tau
+
+
 def test_pushforward_derivative_chain_rule():
     # pushed-forward first derivatives must agree with finite
     # differences of the pushed-forward metric itself
@@ -254,7 +260,7 @@ def test_pushforward_derivative_chain_rule():
     c = metrics.perturbation_change(
         5, metrics.radial_decay_profile(0.1, 1.0), decay=1.0)
     ghat = metrics.pushforward(g, c)
-    assert ghat.derivative_provenance == "finite-difference"
+    assert ghat.derivative_provenance == "analytic"
     x = np.array([2.5, -1.0, 1.5, 0.5, -0.4])
     dg_fd = oracles._central_d1(ghat.eval_g, x, 1e-5, richardson=True)
     assert np.abs(dg_fd - ghat.eval_dg(x)).max() < 1e-7
