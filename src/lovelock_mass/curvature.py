@@ -129,7 +129,7 @@ def _wedge_sums(table, rmix):
     pairs = (slice(None),) + tuple(table.pairs.T)
     for lo, hi in _chunks(B, width):
         R = np.ascontiguousarray(rmix[lo:hi][pairs].T)
-        W = np.ones((1, hi - lo))
+        W = R if table.q else np.ones((1, hi - lo))
         for r_index, w_index, signs in table.plan:
             nxt = np.zeros((r_index.shape[1], hi - lo))
             for r, w, s in zip(r_index, w_index, signs):

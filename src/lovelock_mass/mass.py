@@ -13,11 +13,14 @@ with ordinary partial derivatives of the metric components throughout.
 The limit is extrapolated from a geometric radius schedule by fitting a
 power-law residual; when a single power law cannot represent the tail,
 a saturating profile m (1 + c r^-s)^-p is fitted instead and the model
-choice is reported.
+choice is reported.  Both fits solve for their linear coefficients in
+closed form and search only the nonlinear parameters (variable
+projection).
 """
 
 import csv
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -293,33 +296,65 @@ def _fit_power_law(r, f):
 
 
 def _fit_saturating(r, f, s_hint):
-    """Best fit of f ~ m (1 + c r^-s)^-p; returns (m, s, maxres) or None."""
+    """Best fit of f ~ m (1 + c r^-s)^-p; returns (m, s, maxres) or None.
+
+    Variable projection (Golub & Pereyra, Inverse Problems 19, 2003): m
+    enters linearly, so at each (c, s, p) it is the least-squares
+    coefficient m = phi.f / phi.phi of phi = (1 + c r^-s)^-p, and
+    Levenberg-Marquardt runs over (c, s, p) alone with the analytic
+    Jacobian of the projected residual m phi - f.  The starts of a fixed
+    grid run in turn until one leaves a residual at round-off; the
+    smallest residual wins.
+    """
     if np.any(f == 0) or np.min(f) * np.max(f) < 0:
         return None
     sign = np.sign(f[-1])
     fa = sign * f
+    log_r = np.log(r)
+    tol = 1e-13 * (1.0 + float(np.max(np.abs(f))))
 
-    def model(p):
-        m, c, s, pw = p
+    def parts(q):
+        c, s, pw = q
         # wild intermediate parameters during the LM search may overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            base = 1.0 + c * r ** -s
-            if np.any(base <= 0):
-                return np.full_like(r, 1e6)
-            out = m * base ** -pw - fa
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            t = r ** -s
+            base = 1.0 + c * t
+            phi = base ** -pw
+            m = phi @ fa / (phi @ phi)
+        return t, base, phi, m
+
+    def residual(q):
+        _, base, phi, m = parts(q)
+        if np.any(base <= 0):
+            return np.full_like(r, 1e6)
+        with np.errstate(invalid="ignore"):
+            out = m * phi - fa
         return np.where(np.isfinite(out), out, 1e6)
 
+    def jacobian(q):
+        c, _, pw = q
+        t, base, phi, m = parts(q)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # columns d phi / d(c, s, p), then d(m phi) by the product rule
+            dphi = np.column_stack([-pw * phi * t / base,
+                                    pw * c * log_r * phi * t / base,
+                                    -np.log(base) * phi])
+            dm = (fa @ dphi - 2.0 * m * (phi @ dphi)) / (phi @ phi)
+            jac = phi[:, None] * dm + m * dphi
+        return np.where(np.isfinite(jac), jac, 0.0)
+
     best = None
-    for pw0 in (1.0, 5.0, 20.0):
-        for c0 in (0.5, -0.5):
-            x0 = [fa[-1], c0, max(s_hint, 0.05), pw0]
-            try:
-                sol = least_squares(model, x0=x0, method="lm", max_nfev=4000)
-            except ValueError:
-                continue
-            res = float(np.max(np.abs(model(sol.x))))
-            if best is None or res < best[2]:
-                best = (sign * sol.x[0], float(sol.x[2]), res)
+    for pw0, c0 in itertools.product((1.0, 5.0, 20.0), (0.5, -0.5)):
+        try:
+            sol = least_squares(residual, x0=[c0, max(s_hint, 0.05), pw0],
+                                jac=jacobian, method="lm", max_nfev=4000)
+        except ValueError:
+            continue
+        res = float(np.max(np.abs(residual(sol.x))))
+        if best is None or res < best[2]:
+            best = (sign * parts(sol.x)[3], float(sol.x[1]), res)
+        if res <= tol:
+            break
     return best
 
 

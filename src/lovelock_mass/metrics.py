@@ -131,7 +131,9 @@ class CoordinateChange:
 
     forward evaluates psi, jacobian its derivative d psi^i / d xhat^a
     (layout [..., i, a]), d_jacobian the second derivative with layout
-    [..., i, a, b].  decay is the decay order of phi in xhat = x + phi.
+    [..., i, a, b].  Both derivatives take the base point psi(xhat) as
+    an optional base= when the caller has it already.  decay is the
+    decay order of phi in xhat = x + phi.
     """
 
     n: int
@@ -145,11 +147,18 @@ class CoordinateChange:
 class RadialProfile:
     """A scalar profile c(r) with derivatives to second order.
 
-    Constructed from a sympy expression in a single symbol; derivatives
-    are generated symbolically and lambdified once.
+    Constructed from a sympy expression in a single symbol, or from text
+    in a positive symbol r; derivatives are generated symbolically and
+    lambdified once.
     """
 
     def __init__(self, expr, symbol=None):
+        if isinstance(expr, str):
+            symbol = sp.Symbol("r", positive=True)
+            expr = sp.sympify(expr, locals={"r": symbol})
+            if expr.free_symbols - {symbol}:
+                raise ValueError("profile text must be an expression in r, "
+                                 f"got {str(expr)!r}")
         if symbol is None:
             free = sorted(expr.free_symbols, key=str) if hasattr(expr, "free_symbols") else []
             if len(free) > 1:
@@ -360,7 +369,8 @@ def schwarzschild_conformal_profile(k, n, m):
 def conformal_radial(n, u):
     """Conformally flat metric g = e^(-2u(r)) delta from a radial exponent.
 
-    u may be a RadialProfile or a sympy expression in one symbol.
+    u may be a RadialProfile, a sympy expression in one symbol or text
+    in r.
     """
     if not isinstance(u, RadialProfile):
         u = RadialProfile(u)
@@ -486,11 +496,11 @@ def rotation_change(Q):
         pts, single = _batch(x)
         return _unbatch(pts @ Q.T, single)
 
-    def jacobian(x):
+    def jacobian(x, base=None):
         pts, single = _batch(x)
         return _unbatch(np.broadcast_to(Q, (len(pts), n, n)).copy(), single)
 
-    def d_jacobian(x):
+    def d_jacobian(x, base=None):
         pts, single = _batch(x)
         return _unbatch(np.zeros((len(pts), n, n, n)), single)
 
@@ -509,46 +519,52 @@ def perturbation_change(n, profile, decay):
     """Coordinate change xhat = x + phi(x) with phi^i = x^i c(|x|).
 
     The inverse map psi is evaluated by Newton iteration; the Jacobian
-    and its derivative come from the closed form of D phi.
+    and its derivative come from the closed form of D phi at the base
+    point, which they solve for only when not given it.
     """
-    def _phi_parts(pts):
+    eye = np.eye(n)
+
+    def _phi_parts(pts, order):
+        # phi and D phi, and D^2 phi when order is 2
         r = np.linalg.norm(pts, axis=-1)
         r = np.maximum(r, 1e-300)
-        c0, dc, d2c = _scalar_radial_derivatives(profile, pts, r, 2)
+        c0, dc, *d2c = _scalar_radial_derivatives(profile, pts, r, order)
         phi = c0[:, None] * pts
-        eye = np.eye(n)
         dphi = eye[None] * c0[:, None, None] + pts[:, :, None] * dc[:, None, :]
+        if order == 1:
+            return phi, dphi
         d2phi = (eye[None, :, :, None] * dc[:, None, None, :]
                  + eye[None, :, None, :] * dc[:, None, :, None]
-                 + pts[:, :, None, None] * d2c[:, None, :, :])
+                 + pts[:, :, None, None] * d2c[0][:, None, :, :])
         return phi, dphi, d2phi
+
+    def _solved(pts, base):
+        return forward(pts) if base is None else _batch(base)[0]
 
     def forward(x):
         pts, single = _batch(x)
         cur = pts.copy()
         for _ in range(60):
-            phi, dphi, _ = _phi_parts(cur)
+            phi, dphi = _phi_parts(cur, 1)
             res = cur + phi - pts
             if np.max(np.abs(res)) < 1e-14 * max(1.0, np.max(np.abs(pts))):
                 break
-            M = np.eye(n)[None] + dphi
+            M = eye[None] + dphi
             cur = cur - np.linalg.solve(M, res[..., None])[..., 0]
         else:
             raise RuntimeError("perturbation inverse did not converge")
         return _unbatch(cur, single)
 
-    def jacobian(x):
+    def jacobian(x, base=None):
         pts, single = _batch(x)
-        cur = forward(pts)
-        _, dphi, _ = _phi_parts(cur)
-        J = np.linalg.inv(np.eye(n)[None] + dphi)
+        _, dphi = _phi_parts(_solved(pts, base), 1)
+        J = np.linalg.inv(eye[None] + dphi)
         return _unbatch(J, single)
 
-    def d_jacobian(x):
+    def d_jacobian(x, base=None):
         pts, single = _batch(x)
-        cur = forward(pts)
-        _, dphi, d2phi = _phi_parts(cur)
-        J = np.linalg.inv(np.eye(n)[None] + dphi)
+        _, dphi, d2phi = _phi_parts(_solved(pts, base), 2)
+        J = np.linalg.inv(eye[None] + dphi)
         # d_b J^i_a = -J^i_p (d_s d_q phi^p) J^q_a J^s_b
         dJ = -np.einsum('xip,xpqs,xqa,xsb->xiab', J, d2phi, J, J,
                         optimize=True)
@@ -572,14 +588,15 @@ def _pushforward(g, c):
     ghat_ab(xhat) = J^i_a J^j_b g_ij(psi(xhat)); the first derivative is
     assembled by the chain rule, and the curvature pulled back from g's:
     Rhat_abcd = J^i_a J^j_b J^k_c J^l_d R_ijkl(psi(xhat)).  The declared
-    decay is the slower of g's and the change's.
+    decay is the slower of g's and the change's.  Each evaluator solves
+    for the base point psi(xhat) once and hands it to the Jacobians.
     """
     n = g.n
 
     def eval_g(x):
         pts, single = _batch(x)
         base = c.forward(pts)
-        J = c.jacobian(pts)
+        J = c.jacobian(pts, base=base)
         gv = g.eval_g(base)
         out = np.einsum('xia,xij,xjb->xab', J, gv, J, optimize=True)
         return _unbatch(out, single)
@@ -587,8 +604,8 @@ def _pushforward(g, c):
     def eval_dg(x):
         pts, single = _batch(x)
         base = c.forward(pts)
-        J = c.jacobian(pts)
-        dJ = c.d_jacobian(pts)
+        J = c.jacobian(pts, base=base)
+        dJ = c.d_jacobian(pts, base=base)
         gv = g.eval_g(base)
         dgv = g.eval_dg(base)
         out = (np.einsum('xiac,xij,xjb->xabc', dJ, gv, J, optimize=True)
@@ -598,8 +615,9 @@ def _pushforward(g, c):
         return _unbatch(out, single)
 
     def eval_curvature(pts):
-        J = c.jacobian(pts)
-        R = g.eval_curvature(c.forward(pts))
+        base = c.forward(pts)
+        J = c.jacobian(pts, base=base)
+        R = g.eval_curvature(base)
         return np.einsum('xia,xjb,xkc,xld,xijkl->xabcd', J, J, J, J, R,
                          optimize=True)
 

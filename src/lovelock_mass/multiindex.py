@@ -72,15 +72,15 @@ class WedgeTable:
 
     R is the pair matrix R_I^J = Rmix[i1, i2, j1, j2] over the pairs
     i1 < i2 and j1 < j2 in lexicographic order, gathered by the rows of
-    pairs (C(n,2)^2, 4), and flattened over its (I, J) entries.  W_q is
+    pairs (C(n,2)^2, 4), and flattened over its (I, J) entries.  W_p is
     flattened the same way over its (K, L) entries, K and L the sorted
-    2q-subsets, and W_0 = 1.  plan[q - 1] = (r_index, w_index, signs)
-    builds W_q from W_{q-1}:
+    2p-subsets, so W_0 = 1 and W_1 = R.  The table reads W_q, and
+    plan[p - 2] = (r_index, w_index, signs) builds W_p from W_{p-1}:
 
-        W_q[:] = sum_t signs[t] * R[r_index[t]] * W_{q-1}[w_index[t]]
+        W_p[:] = sum_t signs[t] * R[r_index[t]] * W_{p-1}[w_index[t]]
 
     The last step keeps only the (K, L) entries that the read-off reads,
-    in the same order.  The read-off of the last W sums signs[T] *
+    in the same order.  The read-off of W_q sums signs[T] *
     W[index[T]] over each run of terms that starts at group_starts[G];
     the run fills the slot group_index[G], its free upper then free
     lower indices.
@@ -88,6 +88,7 @@ class WedgeTable:
 
     n: int
     k: int
+    q: int
     constant: float
     pairs: np.ndarray
     plan: tuple
@@ -125,7 +126,7 @@ def _splits(m, f, first=False):
 
 
 def _wedge_step(n, q):
-    """The plan entry of W_q at dimension n.
+    """The plan entry of W_q at dimension n, q >= 2.
 
     W_q[K, L] = sum eps(K; I, K-I) eps(L; J, L-J) R_I^J W_{q-1}[K-I, L-J]
     over the pairs I of K that hold min K and all pairs J of L.  Term
@@ -173,17 +174,17 @@ def _readoff(n, q, f):
 def _wedge_table(n, k, q, f, constant):
     """The read-off of W_q with f free index pairs and its plan (both
     empty when 2q + f > n).  The last step builds only the entries of
-    W_q that the read-off reads."""
+    W_q that the read-off reads; W_0 and W_1 need no step."""
     pairs = _subsets(n, 2)
     pairs = np.concatenate([np.repeat(pairs, len(pairs), axis=0),
                             np.tile(pairs, (len(pairs), 1))], axis=1)
-    plan = [_wedge_step(n, p) for p in range(1, q + 1) if 2 * q + f <= n]
+    plan = [_wedge_step(n, p) for p in range(2, q + 1) if 2 * q + f <= n]
     signs, index, starts, slots = _readoff(n, q, f)
     if plan:
         used, index = np.unique(index, return_inverse=True)
         r_index, w_index, step_signs = plan[-1]
         plan[-1] = (r_index[:, used], w_index[:, used], step_signs)
-    return WedgeTable(n, k, constant, pairs, tuple(plan), signs, index,
+    return WedgeTable(n, k, q, constant, pairs, tuple(plan), signs, index,
                       starts, slots)
 
 

@@ -5,8 +5,9 @@ import subprocess
 import sys
 
 import pytest
+import sympy as sp
 
-from lovelock_mass import cli, quadrature
+from lovelock_mass import cli, mass as massmod, metrics, quadrature
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -150,6 +151,25 @@ def test_fit_warning_exit_code(tmp_path, capsys):
         "mass": {"as": "adm", "radii": [20.0, 27.0, 33.0, 41.0]},
         "quad_level": 2}))
     assert run(["mass", "--config", str(cfg)]) == 2
+
+
+def test_conformal_radial_text_profile(tmp_path):
+    # the CLI hands metric.u to metrics as text; the JSON matches that of
+    # the same metric built from the sympy expression in a positive r
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "metric": {"family": "conformal-radial", "n": 5,
+                   "u": "3/10/(1 + r**2)"},
+        "quad_level": 2}))
+    out = tmp_path / "c-out.json"
+    assert run(["mass", "--config", str(cfg), "--out", str(out)]) == 0
+    r = sp.Symbol("r", positive=True)
+    g = metrics.conformal_radial(
+        5, metrics.RadialProfile(sp.Rational(3, 10) / (1 + r ** 2), r))
+    est = massmod.mass("gbc", g, massmod.default_radii(),
+                       quadrature.sphere_rule(5, 2))
+    doc = dict(massmod.mass_estimate_dict(est), metric=g.name, quad_level=2)
+    assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_penrose_saturated_sphere(capsys):

@@ -226,3 +226,36 @@ def test_fit_skips_a_start_that_raises_value_error(monkeypatch):
     assert seen == {"trf", "lm"}
     assert est.model == "saturating"
     assert est.value == pytest.approx(0.8, rel=1e-8)
+
+
+# flux of the mass-k2 benchmark's first op at seed 1 (schwarzschild, k=2,
+# n=6, m=0.812253002945871, level 4): it needs the saturating model
+_K2_RADII = np.array([20.0, 40.0, 80.0, 160.0])
+_K2_FLUX = np.array([0.5288667735207524, 0.5903684564820064,
+                     0.6240105882777174, 0.6416112838681003])
+
+
+def test_saturating_fit_residual_call_count(monkeypatch):
+    # the variable-projection fit makes a few hundred residual calls on
+    # this series; a four-parameter fit with a finite-difference
+    # Jacobian makes about 57 600, so the bound catches a return to it
+    real = massmod.least_squares
+    calls = []
+
+    def counting(fun, x0, **kw):
+        def counted(q):
+            calls.append(1)
+            return fun(q)
+        return real(counted, x0, **kw)
+
+    monkeypatch.setattr(massmod, "least_squares", counting)
+    massmod.extrapolate_limit(massmod.FluxSeries(
+        radii=_K2_RADII, flux=_K2_FLUX, integrand_id="gbc[n=6]"))
+    assert 0 < len(calls) <= 2000
+
+
+def test_saturating_fit_recovers_schwarzschild_k2_mass():
+    est = massmod.extrapolate_limit(massmod.FluxSeries(
+        radii=_K2_RADII, flux=_K2_FLUX, integrand_id="gbc[n=6]"))
+    assert est.model == "saturating"
+    assert abs(est.value - 0.812253002945871 ** 2) <= 1e-10

@@ -266,6 +266,50 @@ def test_pushforward_derivative_chain_rule():
     assert np.abs(dg_fd - ghat.eval_dg(x)).max() < 1e-7
 
 
+def test_pushforward_solves_once_per_evaluator(monkeypatch):
+    # each evaluator of a perturbation pushforward runs the Newton
+    # inverse once and hands the base point to the Jacobians: a riemann
+    # call (eval_g, eval_dg, eval_curvature) makes three solves
+    g = metrics.schwarzschild_family(2, 5, 1.0)
+    c = metrics.perturbation_change(
+        5, metrics.radial_decay_profile(0.1, 1.0), decay=1.0)
+    pts = _random_points(np.random.default_rng(17), 5, 30, lo=3.0, hi=9.0)
+    real = np.linalg.solve
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    c.forward(pts)
+    per_solve = len(steps)
+    assert per_solve > 0
+    steps.clear()
+    curvature.riemann(metrics.pushforward(g, c), pts)
+    assert len(steps) == 3 * per_solve
+    # a given base point gives the Jacobians of the solved one
+    base = c.forward(pts)
+    steps.clear()
+    J, dJ = c.jacobian(pts, base=base), c.d_jacobian(pts, base=base)
+    assert not steps
+    assert np.array_equal(J, c.jacobian(pts))
+    assert np.array_equal(dJ, c.d_jacobian(pts))
+
+
+def test_radial_profile_from_text():
+    # text is read in a positive symbol r, as the CLI's conformal-radial
+    # family and verify suite pass it
+    r = sp.Symbol("r", positive=True)
+    prof = metrics.RadialProfile("3/10/(1 + r**2)")
+    assert sp.srepr(prof.expr) == sp.srepr(sp.Rational(3, 10) / (1 + r ** 2))
+    assert prof.symbol == r
+    rv = np.array([1.5, 4.0])
+    assert np.array_equal(prof(rv), 0.3 / (1 + rv ** 2))
+    with pytest.raises(ValueError, match="expression in r"):
+        metrics.RadialProfile("x / r")
+
+
 def test_coordinate_change_jacobian_consistency():
     c = metrics.perturbation_change(
         5, metrics.radial_decay_profile(0.1, 1.0), decay=1.0)

@@ -114,3 +114,16 @@ def test_wedge_engine_matches_gather_engine():
             _assert_engine_matches(n, k, oracles.gather_p_table(n, k),
                                    oracles.gather_einstein_table(n, k),
                                    points=16, seed=10 + n)
+
+
+def test_wedge_plan_starts_from_the_curvature_operator():
+    # W_0 = 1 and W_1 = R need no plan step, so W_q takes q - 1 steps
+    # (none when the read-off with f free pairs is empty, 2q + f > n)
+    for n in range(4, 9):
+        for k in range(1, n // 2 + 1):
+            for table, q, f in ((mi.lovelock_scalar_table(n, k), k, 0),
+                                (mi.lovelock_einstein_table(n, k), k, 1),
+                                (mi.p_tensor_table(n, k), k - 1, 2)):
+                assert table.q == q
+                steps = max(q - 1, 0) if 2 * q + f <= n else 0
+                assert len(table.plan) == steps, (n, k, f)
