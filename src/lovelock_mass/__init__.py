@@ -32,13 +32,9 @@ from .graphcase import (
 )
 from .mass import (
     MassEstimate,
-    adm_mass,
     default_radii,
-    egb_mass,
     extrapolate_limit,
-    gbc_mass,
     invariance_check,
-    mk_mass,
 )
 from .metrics import (
     DomainError,
@@ -56,12 +52,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError", "Ellipsoid", "GraphFunction", "MassEstimate",
-    "MetricField", "RadialProfile", "adm_mass", "ball_integral",
+    "MetricField", "RadialProfile", "ball_integral",
     "bulk_mass", "conformal_radial", "default_radii", "divergence_of_P",
-    "egb_blackhole", "egb_graph", "egb_mass", "euclidean",
+    "egb_blackhole", "egb_graph", "euclidean",
     "extrapolate_limit", "gauss_bonnet_L2_direct", "gaussian_bump_graph",
-    "gbc_mass", "invariance_check", "lovelock_L", "lovelock_einstein",
-    "mk_mass", "p_tensor", "p_tensor_general", "penrose_report",
+    "invariance_check", "lovelock_L", "lovelock_einstein",
+    "p_tensor", "p_tensor_general", "penrose_report",
     "pushforward", "radial_graph", "riemann", "schwarzschild_family",
     "schwarzschild_graph", "sphere_rule", "sphere_surface",
     "sphere_volume", "surface_integral", "weyl_sigma2_split",

@@ -10,17 +10,15 @@ data, and the monotone chain of boundary functionals used in the
 Penrose-type comparisons.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-import sympy as sp
 
 from . import curvature, mass as _mass, metrics, quadrature
-from .metrics import RadialProfile
+from .metrics import RadialProfile, sqrt
 
 __all__ = [
     "GraphFunction",
@@ -90,26 +88,27 @@ def radial_graph(n, slope, tau, r_min=0.0, horizon=None, name="radial-graph"):
     derivative; the value of f itself is never needed.
     """
 
-    def jet(order):
+    def derivative(order):
         def ev(x):
             pts = np.asarray(x, dtype=float)
             r = np.linalg.norm(pts, axis=-1)
             if np.any(r <= r_min):
                 raise metrics.DomainError(
                     f"{name}: point inside domain radius {r_min:.6g}")
-            jets = metrics._radial_jets(pts, r, slope, slope.d1)
-            return next(itertools.islice(jets, order, None))
+            if order == 1:
+                return metrics._radial_jets(pts, r, slope(r))
+            s0, s1, _ = slope.jet(r)
+            return metrics._radial_jets(pts, r, s0, s1)[1]
         return ev
 
-    return GraphFunction(n=n, grad=jet(0), hess=jet(1), tau=tau,
-                         horizon=horizon, r_min=r_min, name=name)
+    return GraphFunction(n=n, grad=derivative(1), hess=derivative(2),
+                         tau=tau, horizon=horizon, r_min=r_min, name=name)
 
 
 def schwarzschild_slope_profile(k, n, m):
     """Slope f'(r) = sqrt(2m / (r^(n/k-2) - 2m)) of the static graph."""
-    r = sp.Symbol("r", positive=True)
-    q = sp.Rational(n, k) - 2
-    return RadialProfile(sp.sqrt(2 * m / (r ** q - 2 * m)), r)
+    q = n / k - 2.0
+    return RadialProfile(lambda r: sqrt(2 * m / (r ** q - 2 * m)))
 
 
 def schwarzschild_graph(n, m, k=2):
@@ -133,8 +132,11 @@ def schwarzschild_graph(n, m, k=2):
 
 def egb_graph_slope_profile(n, alpha, m):
     """Slope sqrt(1/F - 1) of the Gauss-Bonnet-corrected black hole."""
-    r, G = metrics._egb_one_minus_F(n, alpha, m)
-    return RadialProfile(sp.sqrt(G / (1 - G)), r)
+    def slope(r):
+        G = metrics._egb_one_minus_F(n, alpha, m, r)
+        return sqrt(G / (1 - G))
+
+    return RadialProfile(slope)
 
 
 def egb_graph(n, alpha, m):
@@ -299,7 +301,7 @@ def bulk_mass(f, rule=None, r_inner=None, r_outer=float("inf"),
                 "L_2 tail does not decay; bulk integral diverges")
     raw = quadrature.ball_integral(F, r_inner, r_outer, rule,
                                    radial_level=radial_level)
-    return 0.5 * _mass.c2_constant(n) * raw
+    return 0.5 * _mass.ck_constant(n, 2) * raw
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +454,7 @@ def horizon_boundary_term(f, sigma, rule):
     evaluation.
     """
     n = _horizon_dimension(f, sigma)
-    return _mass.c2_constant(n) * 3.0 * quermassintegral(sigma, 3, rule)
+    return _mass.ck_constant(n, 2) * 3.0 * quermassintegral(sigma, 3, rule)
 
 
 def _horizon_dimension(f, sigma):
@@ -492,7 +494,7 @@ def af_chain_bounds(sigma, rule):
     omega = quadrature.sphere_volume(n)
     int_h3, int_h2, int_h1, area = _quermass_integrals(sigma, (3, 2, 1, 0),
                                                        rule)
-    b0 = _mass.c2_constant(n) * 3.0 * int_h3
+    b0 = _mass.ck_constant(n, 2) * 3.0 * int_h3
     b1 = 0.25 * (2.0 * int_h2 / ((n - 1) * (n - 2) * omega)) ** ((n - 4) / (n - 3))
     b2 = 0.25 * (int_h1 / ((n - 1) * omega)) ** ((n - 4) / (n - 2))
     b3 = 0.25 * (area / omega) ** ((n - 4) / (n - 1))
@@ -543,8 +545,7 @@ def radial_graph_formulas(slope, r, n):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise metrics.DomainError("radial formulas need r > 0")
-    fr = slope(r)
-    frr = slope.d1(r)
+    fr, frr, _ = slope.jet(r)
     W = 1.0 + fr ** 2
     L2 = 24.0 * (math.comb(n - 1, 4) * fr ** 4 / (r ** 4 * W ** 2)
                  + math.comb(n - 1, 3) * fr ** 3 * frr / (r ** 3 * W ** 3))

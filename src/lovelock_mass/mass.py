@@ -33,20 +33,11 @@ from . import curvature, metrics, quadrature
 __all__ = [
     "FluxSeries",
     "MassEstimate",
-    "c2_constant",
     "ck_constant",
     "default_radii",
     "default_level",
     "flux",
     "mass",
-    "adm_flux",
-    "adm_mass",
-    "gbc_flux",
-    "gbc_mass",
-    "mk_flux",
-    "mk_mass",
-    "egb_flux",
-    "egb_mass",
     "extrapolate_limit",
     "spherically_symmetric_mass",
     "invariance_check",
@@ -57,11 +48,6 @@ __all__ = [
 # curvature bundles per chunk of this many sphere nodes
 _CHUNK = 2048
 _KINDS = ("adm", "gbc", "mk", "egb")
-
-
-def c2_constant(n):
-    """Normalization of the second-order mass flux."""
-    return 1.0 / (2.0 * (n - 1) * (n - 2) * (n - 3) * quadrature.sphere_volume(n))
 
 
 def ck_constant(n, k):
@@ -181,7 +167,7 @@ def flux(kind, g, r, rule=None, *, k=2, alpha=0.0):
                                       r, rule)
     n = g.n
     if kind == "gbc":
-        return c2_constant(n) * raw
+        return ck_constant(n, 2) * raw
     if kind == "mk":
         return ck_constant(n, k) * raw
     return raw / (2.0 * (n - 1) * quadrature.sphere_volume(n))
@@ -212,40 +198,6 @@ def mass(kind, g, radii=None, rule=None, *, k=2, alpha=0.0):
     return extrapolate_limit(_series(
         lambda r: flux(kind, g, r, rule, k=k, alpha=alpha), radii,
         integrand_id))
-
-
-# the per-kind names of flux and mass
-
-def adm_flux(g, r, rule=None):
-    return flux("adm", g, r, rule)
-
-
-def gbc_flux(g, r, rule=None):
-    return flux("gbc", g, r, rule)
-
-
-def mk_flux(k, g, r, rule=None):
-    return flux("mk", g, r, rule, k=k)
-
-
-def egb_flux(g, alpha, r, rule=None):
-    return flux("egb", g, r, rule, alpha=alpha)
-
-
-def adm_mass(g, radii=None, rule=None):
-    return mass("adm", g, radii, rule)
-
-
-def gbc_mass(g, radii=None, rule=None):
-    return mass("gbc", g, radii, rule)
-
-
-def mk_mass(k, g, radii=None, rule=None):
-    return mass("mk", g, radii, rule, k=k)
-
-
-def egb_mass(g, alpha, radii=None, rule=None):
-    return mass("egb", g, radii, rule, alpha=alpha)
 
 
 def _series(fluxfun, radii, integrand_id):
@@ -412,9 +364,9 @@ def invariance_check(g, c, k, radii=None, rule=None):
     """
     radii = default_radii() if radii is None else radii
     rule = _rule_for(g.n, rule)
-    est = mk_mass(k, g, radii=radii, rule=rule)
+    est = mass("mk", g, radii, rule, k=k)
     ghat = metrics.pushforward(g, c)
-    est_hat = mk_mass(k, ghat, radii=radii, rule=rule)
+    est_hat = mass("mk", ghat, radii, rule, k=k)
     return est, est_hat, est_hat.value - est.value
 
 

@@ -3,7 +3,10 @@
 Every metric is presented in a single Cartesian chart on (a subset of)
 R^n.  Rotationally symmetric families A(rho) drho^2 + rho^2 dTheta^2
 are realized through x = rho * omega, which turns them into
-g_ij = delta_ij + (A(r) - 1) x_i x_j / r^2.
+g_ij = delta_ij + (A(r) - 1) x_i x_j / r^2.  Their profiles are
+RadialProfile objects: plain functions of r, or text in r, which a
+second-order jet differentiates to round-off in one forward pass (no
+symbolic step); exp, log, sqrt, sin and cos here act on arrays and jets.
 
 Evaluator conventions
 ---------------------
@@ -16,18 +19,23 @@ from_g_only adapter has none.  No metric has a second or third
 derivative evaluator: eval_d2g and eval_d3g are None throughout.
 """
 
-import itertools
+import ast
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-import sympy as sp
 
 __all__ = [
     "DomainError",
     "MetricField",
     "CoordinateChange",
     "RadialProfile",
+    "exp",
+    "log",
+    "sqrt",
+    "sin",
+    "cos",
     "euclidean",
     "radial_metric",
     "schwarzschild_family",
@@ -144,69 +152,165 @@ class CoordinateChange:
     name: str = "change"
 
 
+class _Jet:
+    """Second-order Taylor jet (v, v', v'') of a function of r over numpy
+    arrays (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM
+    2008, ch. 13): + - * / ** and the module's exp, log, sqrt, sin and
+    cos carry the first two derivatives along with the value."""
+
+    __array_ufunc__ = None  # numpy operands defer to the reflected methods
+
+    def __init__(self, v, d1=0.0, d2=0.0):
+        self.v, self.d1, self.d2 = v, d1, d2
+
+    def chain(self, f0, f1, f2):
+        """f(u) from f, f', f'' at the value: (f o u)'' = f''(u) u'^2 + f'(u) u''."""
+        return _Jet(f0, f1 * self.d1, f2 * self.d1 ** 2 + f1 * self.d2)
+
+    def __add__(self, o):
+        o = o if isinstance(o, _Jet) else _Jet(o)
+        return _Jet(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
+
+    def __mul__(self, o):
+        o = o if isinstance(o, _Jet) else _Jet(o)
+        return _Jet(self.v * o.v, self.d1 * o.v + self.v * o.d1,
+                    self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2)
+
+    def __truediv__(self, o):
+        o = o if isinstance(o, _Jet) else _Jet(o)
+        q = self.v / o.v
+        q1 = (self.d1 - q * o.d1) / o.v
+        return _Jet(q, q1, (self.d2 - 2.0 * q1 * o.d1 - q * o.d2) / o.v)
+
+    def __pow__(self, p):
+        if isinstance(p, _Jet):
+            return exp(p * log(self))
+        v = self.v
+        return self.chain(v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return self * -1.0
+
+    def __pos__(self):
+        return self
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __rtruediv__(self, o):
+        return _Jet(o) / self
+
+    def __rpow__(self, base):
+        f0, lb = base ** self.v, np.log(base)
+        return self.chain(f0, lb * f0, lb * lb * f0)
+
+
+def _elementary(f, derivs):
+    """f on plain arrays, and on jets by the chain rule with
+    derivs(v, f(v)) = (f'(v), f''(v))."""
+    def fn(u):
+        if not isinstance(u, _Jet):
+            return f(u)
+        f0 = f(u.v)
+        return u.chain(f0, *derivs(u.v, f0))
+    return fn
+
+
+exp = _elementary(np.exp, lambda v, e: (e, e))
+log = _elementary(np.log, lambda v, _: (1.0 / v, -1.0 / v ** 2))
+sqrt = _elementary(np.sqrt, lambda v, s: (0.5 / s, -0.25 / (s * v)))
+sin = _elementary(np.sin, lambda v, s: (np.cos(v), -s))
+cos = _elementary(np.cos, lambda v, c: (-np.sin(v), -c))
+# log(1 + u) without the cancellation of 1 + u for small u
+_log1p = _elementary(np.log1p, lambda v, _: (1.0 / (1.0 + v), -1.0 / (1.0 + v) ** 2))
+
+_TEXT_FUNCTIONS = {"exp": exp, "log": log, "sqrt": sqrt, "sin": sin, "cos": cos}
+_TEXT_OPERATORS = (ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Div,
+                   ast.Pow, ast.UAdd, ast.USub)
+
+
+def _whitelisted(node):
+    """True if node is built of numbers, r, pi, E, + - * / ** and one-argument
+    calls of exp, log, sqrt, sin and cos; numbers become floats, so no
+    integer power can grow without bound."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        node.value = float(node.value)
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in ("r", "pi", "E")
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and node.func.id in _TEXT_FUNCTIONS
+                and not node.keywords and len(node.args) == 1
+                and _whitelisted(node.args[0]))
+    return (isinstance(node, _TEXT_OPERATORS)
+            and all(map(_whitelisted, ast.iter_child_nodes(node))))
+
+
+def _read_profile(text):
+    """Compile text in r (with ^ read as **) to a function of r; text
+    outside the _whitelisted grammar raises ValueError."""
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+        if not _whitelisted(tree.body):
+            raise SyntaxError
+    except (SyntaxError, ValueError):
+        raise ValueError(f"profile text must be an expression in r, "
+                         f"got {text!r}") from None
+    code = compile(tree, "<profile>", "eval")
+    names = dict(_TEXT_FUNCTIONS, pi=math.pi, E=math.e, __builtins__={})
+    return lambda r: eval(code, names, {"r": r})
+
+
+def _filled(values, r):
+    return np.broadcast_to(np.asarray(values, dtype=float), r.shape).copy()
+
+
 class RadialProfile:
     """A scalar profile c(r) with derivatives to second order.
 
-    Constructed from a sympy expression in a single symbol, or from text
-    in a positive symbol r; derivatives are generated symbolically and
-    lambdified once.
+    fn is a function of r written with + - * / ** and this module's exp,
+    log, sqrt, sin and cos, which act on plain arrays and on jets alike;
+    text in r is compiled to such a function (numbers, r, pi, E, those
+    operators with ^ read as **, and those five functions).  jet(r) gives
+    (c, c', c'') in one forward pass of Taylor arithmetic; calling the
+    profile evaluates c alone on plain arrays.
     """
 
-    def __init__(self, expr, symbol=None):
-        if isinstance(expr, str):
-            symbol = sp.Symbol("r", positive=True)
-            expr = sp.sympify(expr, locals={"r": symbol})
-            if expr.free_symbols - {symbol}:
-                raise ValueError("profile text must be an expression in r, "
-                                 f"got {str(expr)!r}")
-        if symbol is None:
-            free = sorted(expr.free_symbols, key=str) if hasattr(expr, "free_symbols") else []
-            if len(free) > 1:
-                raise ValueError("profile expression must have one free symbol")
-            symbol = free[0] if free else sp.Symbol("r", positive=True)
-        expr = sp.sympify(expr)
-        self.expr = expr
-        self.symbol = symbol
-        ds = [expr]
-        for _ in range(2):
-            ds.append(sp.diff(ds[-1], symbol))
-        self._fns = [sp.lambdify(symbol, d, modules="numpy") for d in ds]
-
-    def _eval(self, order, r):
-        r = np.asarray(r, dtype=float)
-        out = self._fns[order](r)
-        return np.broadcast_to(np.asarray(out, dtype=float), r.shape).copy()
+    def __init__(self, fn):
+        self.fn = _read_profile(fn) if isinstance(fn, str) else fn
 
     def __call__(self, r):
-        return self._eval(0, r)
+        r = np.asarray(r, dtype=float)
+        return _filled(self.fn(r), r)
+
+    def jet(self, r):
+        r = np.asarray(r, dtype=float)
+        out = self.fn(_Jet(r, np.ones_like(r), np.zeros_like(r)))
+        if not isinstance(out, _Jet):  # a constant profile
+            out = _Jet(out)
+        return _filled(out.v, r), _filled(out.d1, r), _filled(out.d2, r)
 
     def d1(self, r):
-        return self._eval(1, r)
+        return self.jet(r)[1]
 
     def d2(self, r):
-        return self._eval(2, r)
+        return self.jet(r)[2]
 
 
-def _radial_jets(pts, r, d1, d2):
-    """Yield dc[...,k] and d2c[...,k,l] of c(|x|) at batched points from
-    the radial derivative functions d1, d2 of c, each only when asked
-    for: a caller that needs dc alone does not evaluate c''."""
+def _radial_jets(pts, r, c1, c2=None):
+    """dc[..., k] of c(|x|) at batched points from c' = c1 at r = |x|;
+    (dc, d2c[..., k, l]) when c'' = c2 is given too."""
     u = pts / r[:, None]
-    c1 = d1(r)
-    yield c1[:, None] * u
+    dc = c1[:, None] * u
+    if c2 is None:
+        return dc
     P = np.eye(pts.shape[-1])[None] - u[:, :, None] * u[:, None, :]
-    c2 = d2(r)
-    yield c2[:, None, None] * u[:, :, None] * u[:, None, :] + (c1 / r)[:, None, None] * P
-
-
-def _scalar_radial_derivatives(profile, pts, r, order):
-    """Cartesian derivatives up to the given order (1 or 2) of c(|x|)
-    at batched points.
-
-    Returns (c, dc[...,k], d2c[...,k,l]) cut after order.
-    """
-    jets = _radial_jets(pts, r, profile.d1, profile.d2)
-    return (profile(r),) + tuple(itertools.islice(jets, order))
+    return dc, c2[:, None, None] * u[:, :, None] * u[:, None, :] + (c1 / r)[:, None, None] * P
 
 
 def radial_metric(n, a_profile, b_profile, tau, r_min=0.0,
@@ -248,10 +352,11 @@ def radial_metric(n, a_profile, b_profile, tau, r_min=0.0,
 
     def eval_dg(x):
         pts, single, r = _parts(x)
-        _, da = _scalar_radial_derivatives(a_profile, pts, r, 1)
+        da = _radial_jets(pts, r, a_profile.jet(r)[1])
         out = eye[None, :, :, None] * da[:, None, None, :]
         if b_profile is not None:
-            b0, db = _scalar_radial_derivatives(b_profile, pts, r, 1)
+            b0, b1, _ = b_profile.jet(r)
+            db = _radial_jets(pts, r, b1)
             xx = pts[:, :, None] * pts[:, None, :]
             # d_k (x_i x_j) = delta_ik x_j + delta_jk x_i
             d1xx = (eye[None, :, None, :] * pts[:, None, :, None]
@@ -260,24 +365,21 @@ def radial_metric(n, a_profile, b_profile, tau, r_min=0.0,
         return _unbatch(out, single)
 
     def eval_curvature(pts):
-        # A dr^2 + phi^2 dTheta^2 with A = a + b r^2, phi = r sqrt(a) has
-        # sectional curvature K_rad on planes holding nu = x/r and K_tan
-        # on planes tangent to the spheres, so R = delta o M with
-        # M = alpha delta + beta nu nu^T (o: Kulkarni-Nomizu product)
+        # A dr^2 + phi^2 dTheta^2 with A = a + b r^2, phi = r sqrt(a) (jets
+        # in r here) has sectional curvature K_rad on planes holding
+        # nu = x/r and K_tan on planes tangent to the spheres, so
+        # R = delta o M with M = alpha delta + beta nu nu^T (o: the
+        # Kulkarni-Nomizu product)
         pts, _, r = _parts(pts)
-        a, a1, a2 = a_profile(r), a_profile.d1(r), a_profile.d2(r)
-        b, b1 = ((b_profile(r), b_profile.d1(r)) if b_profile is not None
-                 else (np.zeros_like(r), np.zeros_like(r)))
-        A = a + b * r ** 2
-        dA = a1 + b1 * r ** 2 + 2.0 * b * r
-        s = np.sqrt(a)
-        phi, dphi = r * s, s + r * a1 / (2.0 * s)
-        d2phi = a1 / s + r * (a2 / (2.0 * s) - a1 ** 2 / (4.0 * a * s))
-        k_rad = -(d2phi / A - dphi * dA / (2.0 * A ** 2)) / phi
+        rj, aj = _Jet(r, 1.0), _Jet(*a_profile.jet(r))
+        bj = _Jet(*b_profile.jet(r)) if b_profile is not None else _Jet(0.0 * r)
+        a, a1, b = aj.v, aj.d1, bj.v
+        A, phi = aj + bj * rj ** 2, rj * sqrt(aj)
+        k_rad = -(phi.d2 / A.v - phi.d1 * A.d1 / (2.0 * A.v ** 2)) / phi.v
         # (1 - phi'^2 / A) / phi^2 without the cancellation of 1 - phi'^2/A
-        k_tan = (b - a1 / r - a1 ** 2 / (4.0 * a)) / (a * A)
+        k_tan = (b - a1 / r - a1 ** 2 / (4.0 * a)) / (a * A.v)
         alpha = k_tan * a ** 2 / 2.0
-        beta = k_tan * a * b * r ** 2 + (k_rad - k_tan) * a * A
+        beta = k_tan * a * b * r ** 2 + (k_rad - k_tan) * a * A.v
         nu = pts / r[:, None]
         M = (alpha[:, None, None] * eye
              + beta[:, None, None] * nu[:, :, None] * nu[:, None, :])
@@ -291,11 +393,6 @@ def radial_metric(n, a_profile, b_profile, tau, r_min=0.0,
                        eval_d2g=None, eval_d3g=None,
                        tau=tau, derivative_provenance="analytic", name=name,
                        eval_curvature=eval_curvature)
-
-
-def _const_profile(value):
-    r = sp.Symbol("r", positive=True)
-    return RadialProfile(sp.Float(value) + 0 * r, r)
 
 
 def euclidean(n):
@@ -330,27 +427,26 @@ def schwarzschild_family(k, n, m, chart="conformal"):
     """
     if not (isinstance(k, (int, np.integer)) and 1 <= k < n / 2):
         raise ValueError("require integer 1 <= k < n/2")
-    q = sp.Rational(n, k) - 2
-    qf = n / k - 2.0
-    r = sp.Symbol("r", positive=True)
+    q = n / k - 2.0
     if chart == "conformal":
-        phi = 1 + sp.Rational(1, 2) * m / r ** q
-        a = phi ** sp.Rational(4 * k, n - 2 * k)
-        r_min = 0.0 if m >= 0 else float((-m / 2) ** (1 / qf))
-        return radial_metric(n, RadialProfile(a, r), None, tau=qf,
-                             r_min=r_min,
+        a = RadialProfile(lambda r: (1 + m / 2 / r ** q) ** (4 * k / (n - 2 * k)))
+        r_min = 0.0 if m >= 0 else float((-m / 2) ** (1 / q))
+        return radial_metric(n, a, None, tau=q, r_min=r_min,
                              name=f"schwarzschild(k={k},n={n},m={m},conformal)")
     if chart == "rho":
-        A = (1 - 2 * m / r ** q) ** (-1)
-        b = (A - 1) / r ** 2
-        r_min = 0.0 if m <= 0 else float((2 * m) ** (1 / qf))
+        def b(r):
+            # (A - 1) / r^2 with A = 1 / (1 - G), without the cancellation
+            G = 2 * m / r ** q
+            return G / ((1 - G) * r ** 2)
+
+        r_min = 0.0 if m <= 0 else float((2 * m) ** (1 / q))
 
         def domain_check(rv):
             # positive-definite radial direction: A > 0
-            return 1 - 2 * m * rv ** (-qf) > 0
+            return 1 - 2 * m * rv ** (-q) > 0
 
-        return radial_metric(n, _const_profile(1.0), RadialProfile(b, r),
-                             tau=qf, r_min=r_min, domain_check=domain_check,
+        return radial_metric(n, RadialProfile(lambda r: 1.0), RadialProfile(b),
+                             tau=q, r_min=r_min, domain_check=domain_check,
                              name=f"schwarzschild(k={k},n={n},m={m},rho)")
     raise ValueError(f"unknown chart {chart!r}; use 'rho' or 'conformal'")
 
@@ -360,25 +456,21 @@ def schwarzschild_conformal_profile(k, n, m):
 
     Defined by u = -(2k/(n-2k)) * log(1 + m/(2 r^(n/k-2))).
     """
-    r = sp.Symbol("r", positive=True)
-    q = sp.Rational(n, k) - 2
-    u = -sp.Rational(2 * k, n - 2 * k) * sp.log(1 + sp.Rational(1, 2) * m / r ** q)
-    return RadialProfile(u, r)
+    q = n / k - 2.0
+    return RadialProfile(lambda r: -(2 * k / (n - 2 * k)) * _log1p(m / 2 / r ** q))
 
 
 def conformal_radial(n, u):
     """Conformally flat metric g = e^(-2u(r)) delta from a radial exponent.
 
-    u may be a RadialProfile, a sympy expression in one symbol or text
-    in r.
+    u may be a RadialProfile, or a function of r or text in r for one.
     """
     if not isinstance(u, RadialProfile):
         u = RadialProfile(u)
-    a = sp.exp(-2 * u.expr)
     # decay read off from the profile is the caller's business; assume the
     # exponent itself decays like r^-tau with tau unknown: keep a sentinel
     # unless the caller wraps the result.
-    return radial_metric(n, RadialProfile(a, u.symbol), None,
+    return radial_metric(n, RadialProfile(lambda r: exp(-2 * u.fn(r))), None,
                          tau=np.nan, name="conformal-radial")
 
 
@@ -439,10 +531,7 @@ def egb_horizon_radius(n, alpha, m):
         return (2.0 * m) ** (1.0 / (n - 2)) if m > 0 else 0.0
 
     def F(rv):
-        # conjugate form of 1 + (r^2/at)(1 - sqrt(1 + 4 at m / r^n)),
-        # stable for large r
-        y = 4.0 * at * m / rv ** n
-        return 1.0 - 4.0 * m / (rv ** (n - 2) * (1.0 + np.sqrt(1.0 + y)))
+        return 1.0 - _egb_one_minus_F(n, alpha, m, rv)
 
     if m <= 0:
         return 0.0
@@ -454,12 +543,11 @@ def egb_horizon_radius(n, alpha, m):
     return float(brentq(F, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
 
-def _egb_one_minus_F(n, alpha, m):
-    """Symbol r and 1 - F(r) of the EGB black hole in conjugate form,
-    stable for large r."""
-    at = 2 * (n - 2) * (n - 3) * sp.nsimplify(alpha, rational=False)
-    r = sp.Symbol("r", positive=True)
-    return r, 4 * m / (r ** (n - 2) * (1 + sp.sqrt(1 + 4 * at * m / r ** n)))
+def _egb_one_minus_F(n, alpha, m, r):
+    """1 - F(r) of the EGB black hole, the conjugate form of
+    -(r^2/at)(1 - sqrt(1 + 4 at m / r^n)), stable for large r."""
+    at = 2.0 * (n - 2) * (n - 3) * alpha
+    return 4.0 * m / (r ** (n - 2) * (1.0 + sqrt(1.0 + 4.0 * at * m / r ** n)))
 
 
 def egb_blackhole(n, alpha, m):
@@ -471,11 +559,12 @@ def egb_blackhole(n, alpha, m):
     """
     if alpha == 0.0:
         return schwarzschild_family(1, n, m, chart="rho")
-    r, G = _egb_one_minus_F(n, alpha, m)
-    F = 1 - G
-    b = G / (F * r ** 2)
+    def b(r):
+        G = _egb_one_minus_F(n, alpha, m, r)
+        return G / ((1 - G) * r ** 2)
+
     r0 = egb_horizon_radius(n, alpha, m)
-    return radial_metric(n, _const_profile(1.0), RadialProfile(b, r),
+    return radial_metric(n, RadialProfile(lambda r: 1.0), RadialProfile(b),
                          tau=float(n - 2), r_min=r0,
                          name=f"egb(n={n},alpha={alpha},m={m})")
 
@@ -511,8 +600,7 @@ def rotation_change(Q):
 
 def radial_decay_profile(eps, tau_phi):
     """Profile c(r) = eps * (1 + r^2)^(-tau_phi/2) for perturbation maps."""
-    r = sp.Symbol("r", positive=True)
-    return RadialProfile(eps * (1 + r ** 2) ** (-sp.nsimplify(tau_phi) / 2), r)
+    return RadialProfile(lambda r: eps * (1 + r ** 2) ** (-tau_phi / 2))
 
 
 def perturbation_change(n, profile, decay):
@@ -528,14 +616,18 @@ def perturbation_change(n, profile, decay):
         # phi and D phi, and D^2 phi when order is 2
         r = np.linalg.norm(pts, axis=-1)
         r = np.maximum(r, 1e-300)
-        c0, dc, *d2c = _scalar_radial_derivatives(profile, pts, r, order)
+        c0, c1, c2 = profile.jet(r)
+        if order == 1:
+            dc = _radial_jets(pts, r, c1)
+        else:
+            dc, d2c = _radial_jets(pts, r, c1, c2)
         phi = c0[:, None] * pts
         dphi = eye[None] * c0[:, None, None] + pts[:, :, None] * dc[:, None, :]
         if order == 1:
             return phi, dphi
         d2phi = (eye[None, :, :, None] * dc[:, None, None, :]
                  + eye[None, :, None, :] * dc[:, None, :, None]
-                 + pts[:, :, None, None] * d2c[0][:, None, :, :])
+                 + pts[:, :, None, None] * d2c[:, None, :, :])
         return phi, dphi, d2phi
 
     def _solved(pts, base):
@@ -576,14 +668,8 @@ def perturbation_change(n, profile, decay):
 
 
 def pushforward(g, c):
-    """Metric of g in the coordinates of c (identity passes through)."""
-    if c.name == "identity":
-        return g
-    return _pushforward(g, c)
-
-
-def _pushforward(g, c):
-    """The metric g expressed in the new coordinates of a CoordinateChange.
+    """The metric g expressed in the new coordinates of a CoordinateChange
+    (the identity passes g through).
 
     ghat_ab(xhat) = J^i_a J^j_b g_ij(psi(xhat)); the first derivative is
     assembled by the chain rule, and the curvature pulled back from g's:
@@ -591,6 +677,8 @@ def _pushforward(g, c):
     decay is the slower of g's and the change's.  Each evaluator solves
     for the base point psi(xhat) once and hands it to the Jacobians.
     """
+    if c.name == "identity":
+        return g
     n = g.n
 
     def eval_g(x):

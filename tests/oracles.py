@@ -7,6 +7,11 @@ only, L_2 comes from the norm formula with loop-built curvature, and
 surface integrals go through an explicit hyperspherical-angle
 parametrization with difference-quotient fundamental forms.
 
+sympy_profiles pairs each radial profile factory's RadialProfile with
+the same profile as a sympy expression, and sympy_jet differentiates
+such an expression symbolically and evaluates it with 50 digits: the
+reference for the library's second-order jets.
+
 p_tensor_closed_form is the Ricci-form closed formula for P_(2) on the
 library's curvature bundle, the reference for the delta-table tensor.
 christoffel_curvature is the library's former curvature route: R_ijkl
@@ -34,10 +39,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from unittest import mock
 
+import mpmath
 import numpy as np
 import sympy as sp
 
-from lovelock_mass import metrics
+from lovelock_mass import graphcase, metrics
 from lovelock_mass.multiindex import relative_sign
 
 _MAX_BRUTE_ORDER = 5
@@ -603,14 +609,67 @@ def radial_profiles(factory, *args, **kwargs):
 def radial_families(n):
     """radial_profiles of each radial family at dimension n: Schwarzschild
     in both charts, EGB and conformal-radial."""
-    r = sp.Symbol("r", positive=True)
     yield radial_profiles(metrics.schwarzschild_family, 2, n, 1.0,
                           chart="conformal")
     yield radial_profiles(metrics.schwarzschild_family, 1, n, 0.8,
                           chart="rho")
     yield radial_profiles(metrics.egb_blackhole, n, 0.05, 0.8)
-    yield radial_profiles(metrics.conformal_radial, n, metrics.RadialProfile(
-        sp.Rational(1, 4) / (1 + r ** 2), r))
+    yield radial_profiles(metrics.conformal_radial, n, "1/4/(1 + r**2)")
+
+
+def sympy_profiles():
+    """(label, profile, expr, r_min) for each profile factory: the
+    RadialProfile it builds and the same profile as a sympy expression
+    in a positive r, written from the factory's docstring formula."""
+    r = sp.Symbol("r", positive=True)
+    for k, n, m in ((2, 6, 1.0), (2, 5, -0.6), (1, 5, 0.8), (3, 8, 1.2)):
+        q = sp.Rational(n, k) - 2
+        phi = 1 + sp.Float(m) / (2 * r ** q)
+        r_neg = float((-m / 2) ** (1 / q)) if m < 0 else 0.0
+        _, a, _ = radial_profiles(metrics.schwarzschild_family, k, n, m)
+        yield (f"conformal k={k} n={n} m={m}", a,
+               phi ** sp.Rational(4 * k, n - 2 * k), r_neg)
+        yield (f"exponent k={k} n={n} m={m}",
+               metrics.schwarzschild_conformal_profile(k, n, m),
+               -sp.Rational(2 * k, n - 2 * k) * sp.log(phi), r_neg)
+        if m > 0:
+            r_hor = float((2 * m) ** (1 / q))
+            _, _, b = radial_profiles(metrics.schwarzschild_family, k, n, m,
+                                      chart="rho")
+            yield (f"rho k={k} n={n} m={m}", b,
+                   (1 / (1 - 2 * sp.Float(m) / r ** q) - 1) / r ** 2, r_hor)
+            yield (f"slope k={k} n={n} m={m}",
+                   graphcase.schwarzschild_slope_profile(k, n, m),
+                   sp.sqrt(2 * sp.Float(m) / (r ** q - 2 * sp.Float(m))), r_hor)
+    for n, alpha, m in ((6, 0.05, 0.8), (5, 0.1, 1.5)):
+        at = 2 * (n - 2) * (n - 3) * sp.Float(alpha)
+        F = 1 + r ** 2 / at * (1 - sp.sqrt(1 + 4 * at * sp.Float(m) / r ** n))
+        r0 = metrics.egb_horizon_radius(n, alpha, m)
+        _, _, b = radial_profiles(metrics.egb_blackhole, n, alpha, m)
+        yield f"egb n={n} alpha={alpha}", b, (1 / F - 1) / r ** 2, r0
+        yield (f"egb slope n={n} alpha={alpha}",
+               graphcase.egb_graph_slope_profile(n, alpha, m),
+               sp.sqrt(1 / F - 1), r0)
+    for eps, tau in ((0.1, 1.0), (0.3, 2.5)):
+        yield (f"decay eps={eps} tau={tau}",
+               metrics.radial_decay_profile(eps, tau),
+               sp.Float(eps) * (1 + r ** 2) ** (-sp.Float(tau) / 2), 0.0)
+    for text, u in (("3/10/(1 + r**2)", sp.Rational(3, 10) / (1 + r ** 2)),
+                    ("sin(r)/r^2", sp.sin(r) / r ** 2)):
+        _, a, _ = radial_profiles(metrics.conformal_radial, 5, text)
+        yield f"conformal-radial {text}", a, sp.exp(-2 * u), 0.0
+
+
+def sympy_jet(expr, points, dps=50):
+    """(c, c', c'') of a sympy expression in r at float points, rows of
+    an array: differentiated symbolically and evaluated with dps
+    digits, so round-off in the reference is far below a double's."""
+    (r,) = expr.free_symbols
+    fns = [sp.lambdify(r, sp.diff(expr, r, j), modules="mpmath")
+           for j in range(3)]
+    with mpmath.workdps(dps):
+        return np.array([[float(f(mpmath.mpf(float(x)))) for x in points]
+                         for f in fns])
 
 
 def radial_d2g(a_profile, b_profile, pts):
@@ -618,10 +677,12 @@ def radial_d2g(a_profile, b_profile, pts):
     b_profile may be None."""
     eye = np.eye(pts.shape[-1])
     r = np.linalg.norm(pts, axis=-1)
-    _, _, d2a = metrics._scalar_radial_derivatives(a_profile, pts, r, 2)
+    _, a1, a2 = a_profile.jet(r)
+    _, d2a = metrics._radial_jets(pts, r, a1, a2)
     out = eye[None, :, :, None, None] * d2a[:, None, None, :, :]
     if b_profile is not None:
-        b0, db, d2b = metrics._scalar_radial_derivatives(b_profile, pts, r, 2)
+        b0, b1, b2 = b_profile.jet(r)
+        db, d2b = metrics._radial_jets(pts, r, b1, b2)
         xx = pts[:, :, None] * pts[:, None, :]
         d1xx = (eye[None, :, None, :] * pts[:, None, :, None]
                 + eye[None, None, :, :] * pts[:, :, None, None])

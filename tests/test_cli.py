@@ -5,7 +5,6 @@ import subprocess
 import sys
 
 import pytest
-import sympy as sp
 
 from lovelock_mass import cli, mass as massmod, metrics, quadrature
 
@@ -155,7 +154,7 @@ def test_fit_warning_exit_code(tmp_path, capsys):
 
 def test_conformal_radial_text_profile(tmp_path):
     # the CLI hands metric.u to metrics as text; the JSON matches that of
-    # the same metric built from the sympy expression in a positive r
+    # the same metric built from the profile as a function of r
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "metric": {"family": "conformal-radial", "n": 5,
@@ -163,13 +162,22 @@ def test_conformal_radial_text_profile(tmp_path):
         "quad_level": 2}))
     out = tmp_path / "c-out.json"
     assert run(["mass", "--config", str(cfg), "--out", str(out)]) == 0
-    r = sp.Symbol("r", positive=True)
-    g = metrics.conformal_radial(
-        5, metrics.RadialProfile(sp.Rational(3, 10) / (1 + r ** 2), r))
+    g = metrics.conformal_radial(5, lambda r: 3 / 10 / (1 + r ** 2))
     est = massmod.mass("gbc", g, massmod.default_radii(),
                        quadrature.sphere_rule(5, 2))
     doc = dict(massmod.mass_estimate_dict(est), metric=g.name, quad_level=2)
     assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_conformal_radial_rejects_text_outside_the_grammar(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({
+        "metric": {"family": "conformal-radial", "n": 5,
+                   "u": "__import__('os').getcwd()"},
+        "quad_level": 2}))
+    assert run(["mass", "--config", str(cfg)]) == 1
+    assert "error: profile text must be an expression in r" in \
+        capsys.readouterr().err
 
 
 def test_penrose_saturated_sphere(capsys):

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from lovelock_mass import curvature, graphcase, mass as massmod, metrics, quadrature
 
@@ -85,9 +84,7 @@ def test_graph_divergence_identity():
 
 def test_graph_divergence_identity_radial_exponential():
     # radial slope f_r = r e^{-r}
-    r = sp.Symbol("r", positive=True)
-    f = graphcase.radial_graph(5, metrics.RadialProfile(r * sp.exp(-r), r),
-                               tau=4.0)
+    f = graphcase.radial_graph(5, metrics.RadialProfile("r*exp(-r)"), tau=4.0)
     rng = np.random.default_rng(53)
     pts = rng.uniform(0.8, 3.0, size=(15, 5)) * rng.choice([-1, 1], (15, 5))
     assert np.max(graphcase.graph_divergence_identity_residual(f, pts)) < 1e-4
@@ -138,8 +135,7 @@ def test_radial_graph_formulas():
         L2_mod = float(curvature.lovelock_L(2, f.metric, x)[0])
         assert L2_formula == pytest.approx(L2_mod, abs=1e-10)
     # flat slope
-    r = sp.Symbol("r", positive=True)
-    zero = metrics.RadialProfile(r * 0, r)
+    zero = metrics.RadialProfile("0")
     assert graphcase.radial_graph_formulas(zero, 3.0, n) == (0.0, 0.0)
 
 
@@ -231,18 +227,16 @@ def test_horizon_second_form_decays_with_gradient():
 
 def test_adm_graph_mass_alpha_zero_reduction():
     # rotationally symmetric slope keeps every angular level exact
-    r = sp.Symbol("r", positive=True)
-    f = graphcase.radial_graph(5, metrics.RadialProfile(
-        sp.Rational(4, 5) * r / (1 + r ** 2) ** sp.Rational(5, 4), r),
-        tau=3.0)
+    f = graphcase.radial_graph(
+        5, metrics.RadialProfile("4/5*r/(1 + r**2)**(5/4)"), tau=3.0)
     rule = quadrature.sphere_rule(5, 3)
     a0 = graphcase.adm_graph_mass(f, rule=rule, alpha=0.0, radial_level=96)
     lin = graphcase.linear_graph(5, np.array([0.3, 0, 0, 0, 0]))
     assert abs(graphcase.adm_graph_mass(lin, rule=rule,
                                         radial_level=32)) < 1e-10
     # cross-check against the flux-limit ADM mass of the graph metric
-    est = massmod.adm_mass(f.metric, radii=[20.0, 40.0, 80.0, 160.0],
-                           rule=rule)
+    est = massmod.mass("adm", f.metric, radii=[20.0, 40.0, 80.0, 160.0],
+                       rule=rule)
     assert a0 == pytest.approx(est.value, abs=5e-6)
 
 
@@ -295,7 +289,7 @@ def test_af_chain_is_the_quermassintegral_formulas_bit_for_bit():
     omega = quadrature.sphere_volume(n)
     q = {k: graphcase.quermassintegral(E, k, rule) for k in (1, 2, 3)}
     expected = [
-        massmod.c2_constant(n) * 3.0 * q[3],
+        massmod.ck_constant(n, 2) * 3.0 * q[3],
         0.25 * (2.0 * q[2] / ((n - 1) * (n - 2) * omega)) ** ((n - 4) / (n - 3)),
         0.25 * (q[1] / ((n - 1) * omega)) ** ((n - 4) / (n - 2)),
         0.25 * (graphcase.surface_area(E, rule) / omega) ** ((n - 4) / (n - 1)),

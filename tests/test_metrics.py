@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import sympy as sp
 
 from lovelock_mass import curvature, graphcase, metrics
 
@@ -41,29 +40,46 @@ def test_evaluators_take_a_point_or_one_batch_axis():
         curvature.riemann(f.metric, x)
 
 
-class _Truncated(metrics.RadialProfile):
-    """A profile whose derivatives above order top raise."""
-
-    def __init__(self, expr, symbol, top):
-        super().__init__(expr, symbol)
-        self.top = top
-
-    def _eval(self, order, r):
-        if order > self.top:
-            raise AssertionError(f"profile derivative {order} evaluated")
-        return super()._eval(order, r)
+def _recording(fn, passes):
+    """RadialProfile of fn that notes whether each pass got a plain
+    array or a jet."""
+    def rec(r):
+        passes.append("array" if isinstance(r, np.ndarray) else "jet")
+        return fn(r)
+    return metrics.RadialProfile(rec)
 
 
 def test_radial_evaluators_take_only_the_jets_they_return():
-    r = sp.Symbol("r", positive=True)
-    a, b = 1 + 1 / (2 * r ** 3), 1 / (1 + r ** 2)
-    plain = metrics.radial_metric(5, metrics.RadialProfile(a, r),
-                                  metrics.RadialProfile(b, r), tau=1.0)
+    # eval_g never hands a profile a jet; eval_dg and eval_curvature
+    # make one jet pass per profile
+    def a(r):
+        return 1 + 1 / (2 * r ** 3)
+
+    def b(r):
+        return 1 / (1 + r ** 2)
+
+    plain = metrics.radial_metric(5, metrics.RadialProfile(a),
+                                  metrics.RadialProfile(b), tau=1.0)
     x = _random_points(np.random.default_rng(7), 5, 16)
-    for top, name in ((0, "eval_g"), (1, "eval_dg"), (2, "eval_curvature")):
-        g = metrics.radial_metric(5, _Truncated(a, r, top),
-                                  _Truncated(b, r, top), tau=1.0)
+    for name, passes in (("eval_g", ["array"]), ("eval_dg", ["jet"]),
+                         ("eval_curvature", ["jet"])):
+        seen_a, seen_b = [], []
+        g = metrics.radial_metric(5, _recording(a, seen_a),
+                                  _recording(b, seen_b), tau=1.0)
         assert np.array_equal(getattr(g, name)(x), getattr(plain, name)(x))
+        assert seen_a == passes and seen_b == passes
+
+
+def test_profile_jets_match_sympy_oracle():
+    # c, c' and c'' of every profile factory against symbolic
+    # derivatives evaluated with 50 digits, on r in (1.5 r_min, 200]
+    for label, prof, expr, r_min in oracles.sympy_profiles():
+        rv = np.geomspace(max(1.5 * r_min, 0.1), 200.0, 24)
+        ref = oracles.sympy_jet(expr, rv)
+        got = np.array(prof.jet(rv))
+        assert np.array_equal(got[0], prof(rv)), label
+        err = np.abs(got - ref) / np.abs(ref)
+        assert err.max() <= 1e-12, (label, err.max(axis=1))
 
 
 def test_analytic_derivatives_match_finite_differences():
@@ -146,8 +162,7 @@ def test_schwarzschild_horizon_domain_error():
 
 
 def test_conformal_radial_zero_profile():
-    r = sp.Symbol("r", positive=True)
-    g = metrics.conformal_radial(5, metrics.RadialProfile(r * 0, r))
+    g = metrics.conformal_radial(5, metrics.RadialProfile("0"))
     x = np.array([1.0, 2.0, -0.5, 0.3, 0.7])
     assert np.allclose(g.eval_g(x), np.eye(5), atol=1e-15)
     with pytest.raises(metrics.DomainError):
@@ -157,8 +172,7 @@ def test_conformal_radial_zero_profile():
 def test_conformal_radial_hessian_structure():
     # at x = (r, 0, ..., 0): u_11 = u_rr and u_aa = u_r / r for a >= 2,
     # read off the metric second derivatives of g = e^{-2u} delta
-    r = sp.Symbol("r", positive=True)
-    prof = metrics.RadialProfile(sp.Rational(1, 3) / (1 + r ** 2), r)
+    prof = metrics.RadialProfile("1/3/(1 + r**2)")
     _, a, b = oracles.radial_profiles(metrics.conformal_radial, 5, prof)
     rv = 2.0
     x = np.zeros(5)
@@ -298,16 +312,34 @@ def test_pushforward_solves_once_per_evaluator(monkeypatch):
 
 
 def test_radial_profile_from_text():
-    # text is read in a positive symbol r, as the CLI's conformal-radial
-    # family and verify suite pass it
-    r = sp.Symbol("r", positive=True)
+    # text is compiled to a function of r, as the CLI's conformal-radial
+    # family and verify suite pass it; one jet pass gives c, c' and c''
     prof = metrics.RadialProfile("3/10/(1 + r**2)")
-    assert sp.srepr(prof.expr) == sp.srepr(sp.Rational(3, 10) / (1 + r ** 2))
-    assert prof.symbol == r
     rv = np.array([1.5, 4.0])
     assert np.array_equal(prof(rv), 0.3 / (1 + rv ** 2))
+    c, c1, c2 = prof.jet(rv)
+    assert np.array_equal(c, prof(rv))
+    assert np.allclose(c1, -0.6 * rv / (1 + rv ** 2) ** 2, rtol=1e-14, atol=0)
+    assert np.allclose(c2, 0.6 * (3 * rv ** 2 - 1) / (1 + rv ** 2) ** 3,
+                       rtol=1e-14, atol=0)
+    assert np.array_equal(prof.d1(rv), c1)
+    assert np.array_equal(prof.d2(rv), c2)
     with pytest.raises(ValueError, match="expression in r"):
         metrics.RadialProfile("x / r")
+
+
+def test_profile_text_whitelist():
+    # numbers, r, pi, E, + - * / ** (^ read as **) and exp, log, sqrt,
+    # sin, cos; everything else is refused before anything runs
+    rv = np.array([0.5, 2.0, 7.0])
+    for text, expected in (("E**(-r)", np.exp(-rv)), ("r^-2", rv ** -2.0),
+                           ("exp(-r)*sqrt(r)", np.exp(-rv) * np.sqrt(rv))):
+        assert np.allclose(metrics.RadialProfile(text)(rv), expected,
+                           rtol=1e-15, atol=0)
+    for text in ("__import__('os')", "r.real", "(lambda: 1)()", "'a'",
+                 "besselj(0, r)", "x / r"):
+        with pytest.raises(ValueError, match="expression in r"):
+            metrics.RadialProfile(text)
 
 
 def test_coordinate_change_jacobian_consistency():
