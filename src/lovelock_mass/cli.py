@@ -438,6 +438,9 @@ def main(argv=None):
             return cmd_penrose(args)
     except (ValueError, metrics.DomainError, OSError, KeyError) as exc:
         return _fail(str(exc))
+    except ArithmeticError as exc:
+        # overflow or division by zero in user text, e.g. a metric profile
+        return _fail(f"{type(exc).__name__}: {exc}")
     return _fail(f"unknown command {args.command!r}")
 
 

@@ -13,8 +13,9 @@ E^(k), and the rank-4 flux tensors P_(k).
 riemann has one route for every metric: R_ijkl from the metric's
 closed-form eval_curvature (warped-product curvature for radial
 metrics, the Gauss equation for graphs, a pullback through the
-Jacobian for pushforwards), the other curvature fields from it, and
-Gamma from dg and g^-1 when first read.  No second derivative of g is
+Jacobian for pushforwards), with g, g^-1 and dg.  Every other field of
+the bundle (Gamma, R_ij^kl, Ricci, R and the pair matrix R_I^J) is
+built from these when first read.  No second derivative of g is
 evaluated; a metric without the hook raises ValueError.
 
 L_k, E^(k) and P_(k) share one engine, the double-form route (Labbi,
@@ -24,7 +25,9 @@ curvature operator R_I^J on 2q-subsets is built one factor at a time,
 and each free-index slot sums signed entries of W_{k-1} (P) or W_k (E);
 L_k is the trace of W_k.  For P_(3) at n = 8 that is 67 564 products
 and 6 300 read-off terms per point, against 226 800 two-factor terms of
-the expanded delta contraction.
+the expanded delta contraction.  The mass flux reads only the vector
+P^{ijml} d_l g_jm, which p_tensor_general(flux=True) sums straight
+from W_{k-1} and d_l g_jm with two raised indices, without P.
 
 All operations are batched over points; a CurvatureBundle holds the
 arrays for one batch, and callers that need several curvature objects
@@ -34,14 +37,17 @@ Every einsum here with three or more operands passes optimize=True, so
 numpy contracts it pairwise instead of in one loop nest over all its
 indices (n^8 per point for the Weyl raise).  Every operand carries the
 point index x, so each pairwise step is a matmul batched over points,
-one product of at most n^5 multiply-adds per point; the results do not
-depend on the BLAS thread count (the CLI rerun test compares outputs at
-one and two threads).
+one product of at most n^5 multiply-adds per point.  The flux path has
+no such einsum: R_I^J is one (C(n,2), C(n,2)) matmul per point, and
+the raised d_l g_jm two (n, n) matmuls per point and index j.  No
+result depends on the BLAS thread count (the CLI rerun test compares
+outputs at one and two threads).
 """
 
+import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,54 +68,76 @@ __all__ = [
     "kulkarni_nomizu",
 ]
 
-# batch-size * row-width budget for the wedge buffers
-_TERM_BUDGET = 6_000_000
+# batch-size * row-width budget for the wedge buffers: at 1e6 (8 MB a
+# buffer) the P_(2) flux vector on 2048 points at n = 6 took 12 ms, at
+# 6e6 31 ms (one BLAS thread)
+_TERM_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
 class CurvatureBundle:
     """Curvature data of one metric on one batch of points.
 
-    Index layout mirrors the formulas: gamma[..., k, i, j] = Gamma^k_ij,
-    riemann_lo[..., i, j, k, l] = R_ijkl, riemann_mix[..., a, b, c, d]
-    = R_ab^cd, ricci[..., i, k] = R_ik, scalar[...] = R.
+    riemann fills g, g^-1, dg and R_ijkl; every other field is built from
+    them on first read.  Index layout mirrors the formulas:
+    gamma[..., k, i, j] = Gamma^k_ij, riemann_lo[..., i, j, k, l] = R_ijkl,
+    riemann_mix[..., a, b, c, d] = R_ab^cd, ricci[..., i, k] = R_ik,
+    scalar[...] = R, and pair[..., I, J] = R_I^J, the curvature operator
+    on the pairs i1 < i2, j1 < j2 in lexicographic order.
     """
 
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray
     riemann_lo: np.ndarray
-    riemann_mix: np.ndarray
-    ricci: np.ndarray
-    scalar: np.ndarray
 
     @cached_property
     def gamma(self):
-        """Gamma^k_ij from dg and ginv, built on first use: of the
-        library only divergence_of_P reads it."""
+        """Gamma^k_ij from dg and ginv: of the library only divergence_of_P
+        reads it."""
         dg = self.dg
         # U[x,s,i,j] = d_j g_si + d_i g_sj - d_s g_ij
         U = dg + dg.transpose(0, 1, 3, 2) - dg.transpose(0, 3, 1, 2)
         return 0.5 * np.einsum('xks,xsij->xkij', self.ginv, U)
 
+    @cached_property
+    def riemann_mix(self):
+        return np.einsum('xijef,xec,xfd->xijcd', self.riemann_lo, self.ginv,
+                         self.ginv, optimize=True)
+
+    @cached_property
+    def ricci(self):
+        return np.einsum('xjl,xijkl->xik', self.ginv, self.riemann_lo)
+
+    @cached_property
+    def scalar(self):
+        return np.einsum('xik,xik->x', self.ginv, self.ricci)
+
+    @cached_property
+    def pair(self):
+        """R_I^J = R_{I E} Lambda^2(g^-1)[E, J] over the pairs E = (e1 < e2),
+        Lambda^2(g^-1)[E, J] = g^{e1 j1} g^{e2 j2} - g^{e1 j2} g^{e2 j1}:
+        riemann_mix on pairs without the (n, n, n, n) raise."""
+        B, n = self.g.shape[:2]
+        i1, i2 = np.triu_indices(n, 1)
+        flat = i1 * n + i2
+        lo = self.riemann_lo.reshape(B, n * n, n * n)[:, flat[:, None], flat]
+        gi, e1, e2 = self.ginv, i1[:, None], i2[:, None]
+        return lo @ (gi[:, e1, i1] * gi[:, e2, i2]
+                     - gi[:, e1, i2] * gi[:, e2, i1])
+
 
 def riemann(g, x):
-    """Full curvature bundle at a batch of points."""
+    """Curvature bundle at a batch of points: g, g^-1, dg and R_ijkl from
+    the metric's closed form; the other fields on first read."""
     pts, _ = _metrics._batch(x)
     if g.eval_curvature is None:
         raise ValueError(f"{g.name}: metric has no closed-form curvature "
                          "(eval_curvature is None)")
     gv = g.eval_g(pts)
     dg = g.eval_dg(pts)
-    ginv = np.linalg.inv(gv)
-    riemann_lo = g.eval_curvature(pts)
-    riemann_mix = np.einsum('xijef,xec,xfd->xijcd', riemann_lo, ginv, ginv,
-                            optimize=True)
-    ricci = np.einsum('xjl,xijkl->xik', ginv, riemann_lo)
-    scalar = np.einsum('xik,xik->x', ginv, ricci)
-    return CurvatureBundle(g=gv, ginv=ginv, dg=dg,
-                           riemann_lo=riemann_lo, riemann_mix=riemann_mix,
-                           ricci=ricci, scalar=scalar)
+    return CurvatureBundle(g=gv, ginv=np.linalg.inv(gv), dg=dg,
+                           riemann_lo=g.eval_curvature(pts))
 
 
 def _chunks(B, T):
@@ -118,17 +146,17 @@ def _chunks(B, T):
         yield lo, min(B, lo + step)
 
 
-def _wedge_sums(table, rmix):
-    """sums[G, x]: the read-off of the table's wedge power of rmix in
-    the slot run G.  Each chunk of points works points-last, so every
-    gather of the plan copies whole rows."""
-    B = len(rmix)
-    out = np.empty((len(table.group_starts), B))
-    width = max([len(table.signs), len(table.pairs)]
+def _wedge_power(table, pair, width):
+    """Yield (lo, hi, W) over chunks of points: W[e, x - lo] the entries of
+    the table's wedge power of pair[x] that its read-off reads, points-last
+    so every gather of the plan copies whole rows.  width is the row count
+    of the caller's read-off; each chunk keeps its buffers in budget."""
+    B = len(pair)
+    flat = pair.reshape(B, -1)
+    width = max([width, flat.shape[1]]
                 + [r.shape[1] for r, _, _ in table.plan])
-    pairs = (slice(None),) + tuple(table.pairs.T)
     for lo, hi in _chunks(B, width):
-        R = np.ascontiguousarray(rmix[lo:hi][pairs].T)
+        R = np.ascontiguousarray(flat[lo:hi].T)
         W = R if table.q else np.ones((1, hi - lo))
         for r_index, w_index, signs in table.plan:
             nxt = np.zeros((r_index.shape[1], hi - lo))
@@ -140,6 +168,14 @@ def _wedge_sums(table, rmix):
                 else:
                     nxt -= term
             W = nxt
+        yield lo, hi, W
+
+
+def _wedge_sums(table, pair):
+    """sums[G, x]: the read-off of the table's wedge power of the pair
+    matrices pair[x, I, J] in the slot run G."""
+    out = np.empty((len(table.group_starts), len(pair)))
+    for lo, hi, W in _wedge_power(table, pair, len(table.signs)):
         out[:, lo:hi] = np.add.reduceat(W[table.index] * table.signs[:, None],
                                         table.group_starts, axis=0)
     return out
@@ -160,7 +196,7 @@ def lovelock_L(k, g, x, bund=None):
     if bund is None:
         bund = riemann(g, pts)
     table = lovelock_scalar_table(n, k)
-    out = table.constant * _wedge_sums(table, bund.riemann_mix)[0]
+    out = table.constant * _wedge_sums(table, bund.pair)[0]
     return out[0] if single else out
 
 
@@ -181,37 +217,93 @@ def gauss_bonnet_L2_direct(g, x, bund=None):
     return out[0] if single else out
 
 
-def p_tensor(g, x, bund=None):
-    """The rank-4 flux tensor P^{ijkl} of the second-order mass: P_(2)."""
-    return p_tensor_general(2, g, x, bund=bund)
+def p_tensor(g, x, bund=None, *, flux=False):
+    """The rank-4 flux tensor P^{ijkl} of the second-order mass: P_(2);
+    with flux=True the flux vector P^{ijml} d_l g_jm (p_tensor_general)."""
+    return p_tensor_general(2, g, x, bund=bund, flux=flux)
 
 
-def p_tensor_general(k, g, x, bund=None):
+@lru_cache(maxsize=None)
+def _flux_readoff(n, k):
+    """The read-off of p_tensor_table(n, k) regrouped by the flux vector's
+    free index.
+
+    P^{ijml} = constant C[i,j,a,b] g^{am} g^{bl} with C antisymmetric in
+    (i, j) and in (a, b), so Y^i = P^{ijml} d_l g_jm = constant
+    C[i,j,a,b] H[j,a,b] with H[j,a,b] = g^{am} g^{bl} d_l g_jm, and a
+    read-off term sign * W[e] of the slot (s, t, a, b), s < t, a < b,
+    adds sign * W[e] D[t,ab] to Y^s and subtracts sign * W[e] D[s,ab] from
+    Y^t, D[j,ab] = H[j,a,b] - H[j,b,a].  Returns (w_rows, d_rows, runs):
+    term T multiplies W[w_rows[T]] by row d_rows[T] of [D; -D] (D flat
+    over (j, ab), ab the rank of the pair a < b), which carries the sign,
+    and runs holds (i, lo, hi): terms lo..hi-1 sum to Y^i.
+    """
+    table = p_tensor_table(n, k)
+    rank = np.zeros((n, n), dtype=np.intp)
+    rank[np.triu_indices(n, 1)] = np.arange(math.comb(n, 2))
+    s, t, a, b = np.repeat(table.group_index,
+                           np.diff(table.group_starts,
+                                   append=len(table.index)), axis=0).T
+    ab, npairs = rank[a, b], math.comb(n, 2)
+    half = n * npairs
+    neg = np.where(table.signs < 0, half, 0)
+    rows = np.concatenate([s, t])
+    d_rows = np.concatenate([neg + t * npairs + ab,
+                             half - neg + s * npairs + ab])
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    bounds = np.flatnonzero(np.diff(rows, prepend=-1, append=n))
+    runs = tuple((int(rows[lo]), int(lo), int(hi))
+                 for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return np.tile(table.index, 2)[order], d_rows[order], runs
+
+
+def _flux_vector(table, bund):
+    """Y[x, i] = P_(k)^{ijml} d_l g_jm straight from the wedge power (see
+    _flux_readoff), with neither C nor P built."""
+    n = table.n
+    w_rows, d_rows, runs = _flux_readoff(n, table.k)
+    i1, i2 = np.triu_indices(n, 1)
+    ginv = bund.ginv[:, None]
+    H = ginv @ (bund.dg @ ginv)
+    D = (H[:, :, i1, i2] - H[:, :, i2, i1]).reshape(len(H), -1).T
+    D = np.concatenate([D, -D])
+    Y = np.zeros((n, len(H)))
+    for lo, hi, W in _wedge_power(table, bund.pair, len(w_rows)):
+        terms = W[w_rows]
+        terms *= D[d_rows, lo:hi]
+        for i, a, b in runs:
+            Y[i, lo:hi] = terms[a:b].sum(axis=0)
+    return table.constant * Y.T
+
+
+def p_tensor_general(k, g, x, bund=None, *, flux=False):
     """The order-k rank-4 flux tensor P_(k), read off W_{k-1}.
 
     P_(1)^{ijlm} = (g^{il} g^{jm} - g^{im} g^{jl}) / 2; P_(2) is p_tensor,
     checked against its closed form in Ricci terms by the tests.  Returns
     the array P[..., i, j, l, m] = P_(k)^{ijlm}, all zeros with a warning
-    when 2k > n.
+    when 2k > n.  With flux=True it returns only the vector the mass flux
+    reads, Y[..., i] = P_(k)^{ijml} d_l g_jm, and builds neither P nor
+    the raised curvature.
     """
     pts, single = _metrics._batch(x)
     n = g.n
     if 2 * k > n:
         warnings.warn(f"P_({k}) vanishes identically for 2k > n = {n}")
-        Z = np.zeros((len(pts), n, n, n, n))
+        Z = np.zeros((len(pts), n) if flux else (len(pts), n, n, n, n))
         return Z[0] if single else Z
     if bund is None:
         bund = riemann(g, pts)
     table = p_tensor_table(n, k)
-    # C is allocated before the wedge temporaries and none of them is
-    # alive at the einsum, so the einsum's arrays fit blocks riemann
-    # freed: otherwise mass-k2's peak memory rose by 20 MB
+    if flux:
+        Y = _flux_vector(table, bund)
+        return Y[0] if single else Y
+    sums = _wedge_sums(table, bund.pair).T
     C = np.zeros((len(pts), n, n, n, n))
-    sums = _wedge_sums(table, bund.riemann_mix).T
     s, t, a, b = table.group_index.T
     C[:, s, t, a, b] = C[:, t, s, b, a] = sums
     C[:, t, s, a, b] = C[:, s, t, b, a] = -sums
-    del sums
     ginv = bund.ginv
     P = table.constant * np.einsum('xstab,xal,xbm->xstlm', C, ginv, ginv,
                                    optimize=True)
@@ -233,7 +325,7 @@ def lovelock_einstein(k, g, x, bund=None):
     table = lovelock_einstein_table(n, k)
     D = np.zeros((len(pts), n, n))
     D[(slice(None),) + tuple(table.group_index.T)] = (
-        table.constant * _wedge_sums(table, bund.riemann_mix).T)
+        table.constant * _wedge_sums(table, bund.pair).T)
     E = -(1.0 / 2.0 ** (k + 1)) * np.einsum('xli,xlj->xij', bund.g, D)
     return E[0] if single else E
 

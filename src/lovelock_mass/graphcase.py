@@ -253,9 +253,7 @@ def graph_divergence_identity_residual(f, x):
     g = f.metric
 
     def Q(p):
-        bund = curvature.riemann(g, p)
-        P = curvature.p_tensor(g, p, bund=bund)
-        return np.einsum('xijml,xjml->xi', P, bund.dg)
+        return curvature.p_tensor(g, p, flux=True)
 
     dQ = metrics.central_difference(Q, pts, metrics.fd_step_second(pts))
     # left-to-right sum over the diagonal, not np.trace, to keep its rounding

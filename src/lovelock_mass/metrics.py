@@ -383,11 +383,19 @@ def radial_metric(n, a_profile, b_profile, tau, r_min=0.0,
         nu = pts / r[:, None]
         M = (alpha[:, None, None] * eye
              + beta[:, None, None] * nu[:, :, None] * nu[:, None, :])
-        # T = delta_ik M_jl, then + delta_jl M_ik, then R = T - T[k <-> l];
-        # rebinding keeps at most two (B, n, n, n, n) arrays alive
-        T = eye[None, :, None, :, None] * M[:, None, :, None, :]
-        T = T + T.transpose(0, 2, 1, 4, 3)
-        return T - T.swapaxes(3, 4)
+        # R_ijkl = d_ik M_jl + d_jl M_ik - d_il M_jk - d_jk M_il (d: delta),
+        # each term added into the n strided (B, n, n) slices where its
+        # delta is 1; at most two terms meet off the all-equal diagonal
+        R = np.zeros((len(pts), n, n, n, n))
+        for i in range(n):
+            R[:, i, :, i, :] += M
+        for i in range(n):
+            R[:, :, i, :, i] += M
+        for i in range(n):
+            R[:, i, :, :, i] -= M
+        for i in range(n):
+            R[:, :, i, i, :] -= M
+        return R
 
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
                        eval_d2g=None, eval_d3g=None,

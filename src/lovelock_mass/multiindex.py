@@ -70,9 +70,9 @@ def relative_sign(src, dst):
 class WedgeTable:
     """Wedge-power plan and read-off of one free-index curvature tensor.
 
-    R is the pair matrix R_I^J = Rmix[i1, i2, j1, j2] over the pairs
-    i1 < i2 and j1 < j2 in lexicographic order, gathered by the rows of
-    pairs (C(n,2)^2, 4), and flattened over its (I, J) entries.  W_p is
+    R is the pair matrix R_I^J (CurvatureBundle.pair) over the pairs
+    i1 < i2 and j1 < j2 in lexicographic order, flattened over its
+    (I, J) entries, I * C(n,2) + J.  W_p is
     flattened the same way over its (K, L) entries, K and L the sorted
     2p-subsets, so W_0 = 1 and W_1 = R.  The table reads W_q, and
     plan[p - 2] = (r_index, w_index, signs) builds W_p from W_{p-1}:
@@ -90,7 +90,6 @@ class WedgeTable:
     k: int
     q: int
     constant: float
-    pairs: np.ndarray
     plan: tuple
     signs: np.ndarray
     index: np.ndarray
@@ -175,16 +174,13 @@ def _wedge_table(n, k, q, f, constant):
     """The read-off of W_q with f free index pairs and its plan (both
     empty when 2q + f > n).  The last step builds only the entries of
     W_q that the read-off reads; W_0 and W_1 need no step."""
-    pairs = _subsets(n, 2)
-    pairs = np.concatenate([np.repeat(pairs, len(pairs), axis=0),
-                            np.tile(pairs, (len(pairs), 1))], axis=1)
     plan = [_wedge_step(n, p) for p in range(2, q + 1) if 2 * q + f <= n]
     signs, index, starts, slots = _readoff(n, q, f)
     if plan:
         used, index = np.unique(index, return_inverse=True)
         r_index, w_index, step_signs = plan[-1]
         plan[-1] = (r_index[:, used], w_index[:, used], step_signs)
-    return WedgeTable(n, k, q, constant, pairs, tuple(plan), signs, index,
+    return WedgeTable(n, k, q, constant, tuple(plan), signs, index,
                       starts, slots)
 
 

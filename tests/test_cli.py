@@ -40,9 +40,12 @@ def test_rerun_bit_identical(tmp_path):
     # fine here.  The sigma2 run covers the planned five-operand Weyl raise,
     # the invariance run the planned pushforward einsums, the penrose run
     # the Gauss-equation graph curvature and the planned shape operator,
-    # the k = 3 run the wedge-power flux tensor.
+    # the k = 3 run the wedge-power flux tensor, the EGB run the flux
+    # vector beside the first-order density.
     argvs = (["mass", "--metric", "schwarzschild", "--k", "2", "--n", "5",
               "--m", "1.0", "--quad-level", "2"],
+             ["mass", "--metric", "egb", "--as", "egb", "--n", "6",
+              "--alpha", "0.05", "--m", "1.0", "--quad-level", "2"],
              ["verify", "--suite", "sigma2", "--n", "6", "--seed", "1"],
              ["verify", "--suite", "invariance", "--n", "5", "--seed", "1"],
              ["penrose", "--metric", "schwarzschild-graph", "--n", "5",
@@ -178,6 +181,20 @@ def test_conformal_radial_rejects_text_outside_the_grammar(tmp_path, capsys):
     assert run(["mass", "--config", str(cfg)]) == 1
     assert "error: profile text must be an expression in r" in \
         capsys.readouterr().err
+
+
+def test_profile_arithmetic_error_reported(tmp_path, capsys):
+    # text inside the grammar can still overflow or divide by zero when
+    # evaluated: error and exit 1, not a traceback
+    for text in ("9**9**9*r", "1/0 + r"):
+        cfg = tmp_path / "arith.json"
+        cfg.write_text(json.dumps({
+            "metric": {"family": "conformal-radial", "n": 5, "u": text},
+            "quad_level": 2}))
+        assert run(["mass", "--config", str(cfg)]) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), (text, err)
+        assert "Traceback" not in err
 
 
 def test_penrose_saturated_sphere(capsys):

@@ -295,6 +295,73 @@ def test_p_tensor_general_reductions():
         assert np.abs(contracted - lk).max() < 1e-9 * (1 + np.abs(lk).max())
 
 
+def _flux_families(n, rng):
+    """One metric of every family at dimension n: the radial families of
+    the oracles (Schwarzschild in both charts, EGB, conformal-radial
+    text), a bump graph, a pushforward and the flat metric."""
+    base = metrics.schwarzschild_family(2, n, 1.0, chart="conformal")
+    change = metrics.perturbation_change(
+        n, metrics.radial_decay_profile(0.1, 1.0), decay=1.0)
+    return ([g for g, _, _ in oracles.radial_families(n)]
+            + [graphcase.gaussian_bump_graph(
+                   n, rng.normal(size=(2, n)), [0.5, -0.4], [1.4, 2.1]).metric,
+               metrics.pushforward(base, change), metrics.euclidean(n)])
+
+
+def test_flux_vector_matches_full_p_contraction():
+    # p_tensor_general(flux=True) is P_(k)^{ijml} d_l g_jm without P, for
+    # every family, every n the masses run in and every k with 2k <= n
+    rng = np.random.default_rng(40)
+    for n in (5, 6, 7, 8):
+        pts = _shell_points(rng, n, 12, 2.5, 9.0)
+        for g in _flux_families(n, rng):
+            bund = curvature.riemann(g, pts)
+            for k in range(1, n // 2 + 1):
+                Y = curvature.p_tensor_general(k, g, pts, bund=bund,
+                                               flux=True)
+                P = curvature.p_tensor_general(k, g, pts, bund=bund)
+                ref = np.einsum('xijml,xjml->xi', P, bund.dg)
+                assert Y.shape == (len(pts), n)
+                assert np.abs(Y - ref).max() <= 1e-12 * np.abs(ref).max(), \
+                    (n, k, g.name)
+                if k == 2:
+                    assert np.array_equal(
+                        curvature.p_tensor(g, pts, bund=bund, flux=True), Y)
+            if g.name.startswith("euclidean"):
+                assert not Y.any()
+    # one point in, one vector out
+    g = metrics.schwarzschild_family(2, 6, 1.0)
+    x = np.full(6, 3.0)
+    assert np.array_equal(curvature.p_tensor(g, x, flux=True),
+                          curvature.p_tensor(g, x[None], flux=True)[0])
+
+
+def test_pair_is_riemann_mix_on_pairs():
+    # R_I^J from R_ijkl and the second exterior power of g^-1
+    rng = np.random.default_rng(41)
+    for n in (5, 6, 7, 8):
+        i1, i2 = np.triu_indices(n, 1)
+        pts = _shell_points(rng, n, 12, 2.5, 9.0)
+        for g in _flux_families(n, rng)[:-1]:
+            bund = curvature.riemann(g, pts)
+            ref = bund.riemann_mix[:, i1[:, None], i2[:, None],
+                                   i1[None, :], i2[None, :]]
+            assert bund.pair.shape == (len(pts), len(i1), len(i1))
+            assert np.abs(bund.pair - ref).max() <= 1e-13 * np.abs(ref).max(), \
+                (n, g.name)
+
+
+def test_flux_vector_vanishes_with_warning_for_2k_above_n():
+    g = metrics.schwarzschild_family(2, 5, 1.0)
+    pts = np.full((3, 5), 2.0)
+    with pytest.warns(UserWarning, match="vanishes"):
+        Y = curvature.p_tensor_general(3, g, pts, flux=True)
+    assert Y.shape == (3, 5) and not Y.any()
+    with pytest.warns(UserWarning, match="vanishes"):
+        y = curvature.p_tensor_general(3, g, pts[0], flux=True)
+    assert y.shape == (5,) and not y.any()
+
+
 def test_lovelock_einstein_identities():
     g = _bump_graph().metric
     rng = np.random.default_rng(29)

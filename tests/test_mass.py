@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lovelock_mass import mass as massmod, metrics, quadrature
+from lovelock_mass import curvature, mass as massmod, metrics, quadrature
 
 
 def test_normalization_constants():
@@ -256,3 +256,22 @@ def test_saturating_fit_recovers_schwarzschild_k2_mass():
         radii=_K2_RADII, flux=_K2_FLUX, integrand_id="gbc[n=6]"))
     assert est.model == "saturating"
     assert abs(est.value - 0.812253002945871 ** 2) <= 1e-10
+
+
+def test_flux_path_reads_neither_raised_curvature_nor_ricci(monkeypatch):
+    # the mass fluxes read P_(k)^{ijml} d_l g_jm off the pair matrix; a
+    # read of R_ij^kl or of the Ricci tensor (and so of R) would raise
+    def forbidden(self):
+        raise AssertionError("flux path read a raised curvature field")
+
+    for name in ("riemann_mix", "ricci"):
+        monkeypatch.setattr(curvature.CurvatureBundle, name,
+                            property(forbidden))
+    rule6, rule7 = quadrature.sphere_rule(6, 2), quadrature.sphere_rule(7, 2)
+    gbc = massmod.flux("gbc", metrics.schwarzschild_family(2, 6, 1.0), 20.0,
+                       rule6)
+    egb = massmod.flux("egb", metrics.egb_blackhole(6, 0.05, 1.0), 20.0,
+                       rule6, alpha=0.05)
+    mk3 = massmod.flux("mk", metrics.schwarzschild_family(3, 7, 1.0), 20.0,
+                       rule7, k=3)
+    assert np.isfinite([gbc, egb, mk3]).all() and gbc > 0 and mk3 > 0
