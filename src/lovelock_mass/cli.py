@@ -15,11 +15,16 @@ Exit codes: 0 success, 1 error, 2 fit warning, 3 violated bound.
 import argparse
 import functools
 import json
+# both imported with the CLI rather than on first use: argparse's gettext
+# lookup imports locale when the parser is first built, and numpy imports
+# numpy.random at the first verify seed
+import locale  # noqa: F401
 import math
 import os
 import sys
 
 import numpy as np
+import numpy.random  # noqa: F401
 
 from . import curvature, graphcase, mass as massmod, metrics, quadrature
 

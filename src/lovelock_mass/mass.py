@@ -15,7 +15,8 @@ power-law residual; when a single power law cannot represent the tail,
 a saturating profile m (1 + c r^-s)^-p is fitted instead and the model
 choice is reported.  Both fits solve for their linear coefficients in
 closed form and search only the nonlinear parameters (variable
-projection).
+projection, Golub & Pereyra 2003) with one Levenberg-Marquardt search
+(More 1978, the MINPACK algorithm) written in numpy.
 """
 
 import csv
@@ -26,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import curvature, metrics, quadrature
 
@@ -50,6 +50,8 @@ __all__ = [
 # 2048-node ones (one BLAS thread; R_ijkl alone is 5 MB per 512 nodes)
 _CHUNK = 512
 _KINDS = ("adm", "gbc", "mk", "egb")
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def ck_constant(n, k):
@@ -209,8 +211,141 @@ def _series(fluxfun, radii, integrand_id):
     return FluxSeries(radii=radii, flux=vals, integrand_id=integrand_id)
 
 
+def _projection(basis, y, q):
+    """Residual Phi c - y at the least-squares c of the basis Phi(q), its
+    Jacobian in q and c, or None where the basis is invalid or singular.
+
+    basis(q) gives Phi (N, L) and its derivatives dPhi (P, N, L), or None.
+    With G = Phi^T Phi the Jacobian is P_perp dPhi c - Phi G^-1 dPhi^T res
+    (Golub & Pereyra, Inverse Problems 19, 2003)."""
+    parts = basis(q)
+    if parts is None:
+        return None
+    Phi, dPhi = parts
+    G = Phi.T @ Phi
+    try:
+        # a 1 x 1 Gram matrix is inverted without the LAPACK call
+        Gi = 1.0 / G if G.size == 1 else np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        return None
+    coef = Gi @ (Phi.T @ y)
+    res = Phi @ coef - y
+    if not math.isfinite(res.sum()):
+        return None
+    A = (dPhi @ coef).T
+    jac = A - Phi @ (Gi @ (Phi.T @ A + (res @ dPhi).T))
+    if not math.isfinite(jac.sum()):
+        jac = np.where(np.isfinite(jac), jac, 0.0)
+    return res, jac, coef
+
+
+def _lm_parameter(lam, sg, delta, par):
+    """More's Levenberg-Marquardt parameter par >= 0 and step w, in the
+    right singular basis of the scaled Jacobian S (squared singular values
+    lam, sg = S U^T res), with |w| within 10% of the trust radius delta
+    unless the Gauss-Newton step (par = 0) fits inside it."""
+    def step(par):
+        # w(par), |w| and w^T (S^T S + par)^-1 w / |w|^2
+        w, norm2, curv = [], 0.0, 0.0
+        for v, b in zip(lam, sg):
+            d = v + par
+            x = -b / d if d > 0 else 0.0
+            w.append(x)
+            norm2 += x * x
+            curv += x * x / d if d > 0 else 0.0
+        return w, math.sqrt(norm2), curv / norm2 if norm2 else 0.0
+
+    w, norm, curv = step(0.0)
+    fp = norm - delta
+    if fp <= 0.1 * delta:
+        return 0.0, w
+    # Newton iteration on |w(par)| = delta within safeguards [lo, hi]
+    lo = fp / delta / curv if min(lam) > 0 else 0.0
+    gnorm = math.sqrt(sum(b * b for b in sg))
+    hi = gnorm / delta or _TINY / min(delta, 0.1)
+    par = min(max(par, lo), hi) or gnorm / norm
+    for it in range(1, 11):
+        par = par or max(_TINY, 0.001 * hi)
+        w, norm, curv = step(par)
+        prev, fp = fp, norm - delta
+        if abs(fp) <= 0.1 * delta or (lo == 0 and fp <= prev < 0) or it == 10:
+            return par, w
+        if fp > 0:
+            lo = max(lo, par)
+        else:
+            hi = min(hi, par)
+        par = max(lo, par + fp / delta / curv)
+
+
+def _varpro_fit(basis, y, q0, max_nfev, tol=1e-8):
+    """Variable-projection Levenberg-Marquardt fit of y ~ Phi(q) c.
+
+    The linear coefficients c are the least-squares ones at each q
+    (_projection), so the search runs over q alone.  The search is More's
+    scaled trust-region Levenberg-Marquardt (More, The Levenberg-Marquardt
+    algorithm: implementation and theory, LNM 630, 1978) with the MINPACK
+    defaults: initial radius 100 |D q0|, column-norm scaling D, and
+    ftol = xtol = gtol = tol.  Returns (q, residual, c); a start where the
+    basis is invalid raises ValueError.
+    """
+    q = np.array(q0, dtype=float)
+    with np.errstate(all="ignore"):
+        cur = _projection(basis, y, q)
+        if cur is None:
+            raise ValueError(f"fit basis invalid at the start {q0!r}")
+        f, J, coef = cur
+        fnorm = math.sqrt(f @ f)
+        nfev, par, diag, first = 1, 0.0, None, True
+        while True:
+            cn = np.sqrt(np.einsum('ij,ij->j', J, J))
+            if diag is None:
+                diag = np.where(cn == 0, 1.0, cn)
+                xnorm = math.sqrt((diag * q) @ (diag * q))
+                delta = 100.0 * xnorm or 100.0
+            if fnorm == 0 or (np.abs(J.T @ f) <= tol * fnorm * cn).all():
+                return q, f, coef
+            diag = np.maximum(diag, cn)
+            U, sv, Vt = np.linalg.svd(J / diag, full_matrices=False)
+            lam, sg = (sv * sv).tolist(), (sv * (U.T @ f)).tolist()
+            while True:
+                par, w = _lm_parameter(lam, sg, delta, par)
+                pnorm = math.sqrt(sum(x * x for x in w))
+                if first:
+                    delta = min(delta, pnorm)
+                trial = q + np.dot(w, Vt) / diag
+                new = _projection(basis, y, trial)
+                nfev += 1
+                fnorm1 = math.sqrt(new[0] @ new[0]) if new else math.inf
+                # actual and predicted reductions of |f|^2, relative
+                actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
+                t1 = math.sqrt(sum(v * x * x for v, x in zip(lam, w))) / fnorm
+                t2 = math.sqrt(par) * pnorm / fnorm
+                prered, dirder = t1 * t1 + 2.0 * t2 * t2, -(t1 * t1 + t2 * t2)
+                ratio = actred / prered if prered != 0 else 0.0
+                if ratio <= 0.25:
+                    t = 0.5 if actred >= 0 else 0.5 * dirder / (dirder + 0.5 * actred)
+                    if 0.1 * fnorm1 >= fnorm or t < 0.1:
+                        t = 0.1
+                    delta, par = t * min(delta, pnorm / 0.1), par / t
+                elif par == 0 or ratio >= 0.75:
+                    delta, par = 2.0 * pnorm, 0.5 * par
+                if ratio >= 1e-4:
+                    q, (f, J, coef), fnorm = trial, new, fnorm1
+                    xnorm = math.sqrt((diag * q) @ (diag * q))
+                    first = False
+                for eps in (tol, _EPS):
+                    if (abs(actred) <= eps and prered <= eps and ratio <= 2.0
+                            or delta <= eps * xnorm):
+                        return q, f, coef
+                if nfev >= max_nfev:
+                    return q, f, coef
+                if ratio >= 1e-4:
+                    break
+
+
 def _fit_power_law(r, f):
-    """Best fit of f ~ m + a r^-s; returns (m, a, s, maxresidual)."""
+    """Best fit of f ~ m + a r^-s, s in [1e-3, 50]; returns (m, a, s,
+    maxresidual)."""
     d = np.diff(f)
     s0 = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -219,44 +354,43 @@ def _fit_power_law(r, f):
         cand = -np.log(np.abs(rho)) / lr[:-1]
         cand = cand[np.isfinite(cand) & (cand > 0)]
     if len(cand):
-        s0 = float(np.median(cand))
+        # the median by hand: np.median imports numpy.ma on first use
+        c = np.sort(cand)
+        s0 = float(c[(len(c) - 1) // 2] + c[len(c) // 2]) / 2.0
+    log_r = np.log(r)
 
-    def solve_linear(s):
-        A = np.column_stack([np.ones_like(r), r ** -s])
-        coef, *_ = np.linalg.lstsq(A, f, rcond=None)
-        res = A @ coef - f
-        return coef, res
-
-    def fun(p):
-        (s,) = p
-        _, res = solve_linear(s)
-        return res
+    def basis(q):
+        # s is clipped to its bounds, where the basis stops moving
+        s = min(max(q[0], 1e-3), 50.0)
+        t = r ** -s
+        dt = -log_r * t if s == q[0] else np.zeros_like(t)
+        return (np.column_stack([np.ones_like(r), t]),
+                np.column_stack([np.zeros_like(t), dt])[None])
 
     best = None
     for start in {s0, 1.0, 2.0, 4.0}:
+        if not 1e-3 <= start <= 50.0:
+            continue
         try:
-            sol = least_squares(fun, x0=[start], bounds=([1e-3], [50.0]))
+            q, res, coef = _varpro_fit(basis, f, [start], max_nfev=100)
         except ValueError:
             continue
-        coef, res = solve_linear(sol.x[0])
-        cand_fit = (coef[0], coef[1], sol.x[0], float(np.max(np.abs(res))))
+        cand_fit = (coef[0], coef[1], min(max(q[0], 1e-3), 50.0),
+                    float(np.max(np.abs(res))))
         if best is None or cand_fit[3] < best[3]:
             best = cand_fit
     if best is None:
-        coef, res = solve_linear(s0)
-        best = (coef[0], coef[1], s0, float(np.max(np.abs(res))))
+        A = basis([s0])[0]
+        coef, *_ = np.linalg.lstsq(A, f, rcond=None)
+        best = (coef[0], coef[1], s0, float(np.max(np.abs(A @ coef - f))))
     return best
 
 
 def _fit_saturating(r, f, s_hint):
     """Best fit of f ~ m (1 + c r^-s)^-p; returns (m, s, maxres) or None.
 
-    Variable projection (Golub & Pereyra, Inverse Problems 19, 2003): m
-    enters linearly, so at each (c, s, p) it is the least-squares
-    coefficient m = phi.f / phi.phi of phi = (1 + c r^-s)^-p, and
-    Levenberg-Marquardt runs over (c, s, p) alone with the analytic
-    Jacobian of the projected residual m phi - f.  The starts of a fixed
-    grid run in turn until one leaves a residual at round-off; the
+    m enters linearly and (c, s, p) go to _varpro_fit.  The starts of a
+    fixed grid run in turn until one leaves a residual at round-off; the
     smallest residual wins.
     """
     if np.any(f == 0) or np.min(f) * np.max(f) < 0:
@@ -266,46 +400,28 @@ def _fit_saturating(r, f, s_hint):
     log_r = np.log(r)
     tol = 1e-13 * (1.0 + float(np.max(np.abs(f))))
 
-    def parts(q):
+    def basis(q):
         c, s, pw = q
-        # wild intermediate parameters during the LM search may overflow
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            t = r ** -s
-            base = 1.0 + c * t
-            phi = base ** -pw
-            m = phi @ fa / (phi @ phi)
-        return t, base, phi, m
-
-    def residual(q):
-        _, base, phi, m = parts(q)
-        if np.any(base <= 0):
-            return np.full_like(r, 1e6)
-        with np.errstate(invalid="ignore"):
-            out = m * phi - fa
-        return np.where(np.isfinite(out), out, 1e6)
-
-    def jacobian(q):
-        c, _, pw = q
-        t, base, phi, m = parts(q)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # columns d phi / d(c, s, p), then d(m phi) by the product rule
-            dphi = np.column_stack([-pw * phi * t / base,
-                                    pw * c * log_r * phi * t / base,
-                                    -np.log(base) * phi])
-            dm = (fa @ dphi - 2.0 * m * (phi @ dphi)) / (phi @ phi)
-            jac = phi[:, None] * dm + m * dphi
-        return np.where(np.isfinite(jac), jac, 0.0)
+        t = r ** -s
+        base = 1.0 + c * t
+        if base.min() <= 0:
+            return None
+        phi = base ** -pw
+        u = pw * phi * t / base
+        # d phi / d(c, s, p)
+        dphi = np.array([-u, c * log_r * u, -np.log(base) * phi])
+        return phi[:, None], dphi[:, :, None]
 
     best = None
     for pw0, c0 in itertools.product((1.0, 5.0, 20.0), (0.5, -0.5)):
         try:
-            sol = least_squares(residual, x0=[c0, max(s_hint, 0.05), pw0],
-                                jac=jacobian, method="lm", max_nfev=4000)
+            q, resid, coef = _varpro_fit(basis, fa, [c0, max(s_hint, 0.05), pw0],
+                                         max_nfev=4000)
         except ValueError:
             continue
-        res = float(np.max(np.abs(residual(sol.x))))
+        res = float(np.max(np.abs(resid)))
         if best is None or res < best[2]:
-            best = (sign * parts(sol.x)[3], float(sol.x[1]), res)
+            best = (sign * coef[0], float(q[1]), res)
         if res <= tol:
             break
     return best

@@ -531,24 +531,33 @@ def graph_metric(f):
 def egb_horizon_radius(n, alpha, m):
     """Largest root r0 of 1 + (r^2/at)(1 - sqrt(1 + 4 at m / r^n)) = 0.
 
-    Here at = 2 (n-2)(n-3) alpha.  Returns 0.0 when the profile has no
+    Here at = 2 (n-2)(n-3) alpha.  Squared, the equation is the polynomial
+    G(r) = 2 r^(n-2) + at r^(n-4) - 4m = 0, whose positive root is
+    bisected down to neighbouring floats.  Squaring adds the root of the
+    other sign of the square root when at < 0, so a root with
+    r^(n-2) > 4m is rejected.  Returns 0.0 when the profile has no
     positive root (e.g. m <= 0 or alpha = 0 with m <= 0).
     """
     at = 2.0 * (n - 2) * (n - 3) * alpha
     if at == 0.0:
         return (2.0 * m) ** (1.0 / (n - 2)) if m > 0 else 0.0
-
-    def F(rv):
-        return 1.0 - _egb_one_minus_F(n, alpha, m, rv)
-
     if m <= 0:
         return 0.0
-    from scipy.optimize import brentq
-    lo = 1e-8
-    hi = max(1.0, (4.0 * m) ** (1.0 / (n - 2)))
-    while F(hi) <= 0:
+
+    def G(r):
+        return 2.0 * r ** (n - 2) + at * r ** (n - 4) - 4.0 * m
+
+    lo, hi = 0.0, max(1.0, (4.0 * m) ** (1.0 / (n - 2)))
+    while G(hi) <= 0:
         hi *= 2.0
-    return float(brentq(F, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    if G(lo) >= 0:
+        return 0.0
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if G(mid) < 0 else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    r = lo if -G(lo) < G(hi) else hi
+    return r if r ** (n - 2) <= 4.0 * m else 0.0
 
 
 def _egb_one_minus_F(n, alpha, m, r):
@@ -571,7 +580,10 @@ def egb_blackhole(n, alpha, m):
         G = _egb_one_minus_F(n, alpha, m, r)
         return G / ((1 - G) * r ** 2)
 
-    r0 = egb_horizon_radius(n, alpha, m)
+    # F is complex inside r^n = -4 at m when at m < 0 and no horizon covers it
+    at_m = 2.0 * (n - 2) * (n - 3) * alpha * m
+    r0 = max(egb_horizon_radius(n, alpha, m),
+             (-4.0 * at_m) ** (1.0 / n) if at_m < 0 else 0.0)
     return radial_metric(n, RadialProfile(lambda r: 1.0), RadialProfile(b),
                          tau=float(n - 2), r_min=r0,
                          name=f"egb(n={n},alpha={alpha},m={m})")

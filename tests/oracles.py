@@ -502,29 +502,37 @@ def parametric_surface_integrals(surface, functional, nodes_polar=16,
                                  nodes_azimuth=32, h=2e-2, n=None):
     """Integral of a curvature functional over a parametric surface.
 
-    functional is one of 'area', 'H1', 'H2', 'H3', 'inducedR'.  All
-    geometry comes from difference quotients of local tangent-plane
-    charts of the direction sphere; the area element is the ratio of
-    chart volume forms, which is sqrt(det G) because the chart is
-    sphere-orthonormal at its origin.  n is the ambient dimension; it is
-    read from surface.n when omitted.
+    functional is one of 'area', 'H1', 'H2', 'H3', 'inducedR', or a
+    sequence of them, which returns the list of their integrals from one
+    pass over the fundamental forms.  All geometry comes from difference
+    quotients of local tangent-plane charts of the direction sphere; the
+    area element is the ratio of chart volume forms, which is sqrt(det G)
+    because the chart is sphere-orthonormal at its origin.  n is the
+    ambient dimension; it is read from surface.n when omitted.
     """
+    names = [functional] if isinstance(functional, str) else list(functional)
+    for name in names:
+        if name not in ("area", "H1", "H2", "H3", "inducedR"):
+            raise ValueError(f"unknown functional {name!r}")
     if n is None:
         n = surface.n
     omega, weights = _direction_grid(n, nodes_polar, nodes_azimuth)
     basis = _tangent_basis(omega)
     _, G, B, _ = _fundamental_forms(surface, omega, basis, h=h)
     dA = np.sqrt(np.linalg.det(G))
-    if functional == "area":
-        vals = np.ones(len(omega))
-    elif functional in ("H1", "H2", "H3"):
-        lam = _principal_curvatures_param(G, B)
-        vals = _elementary(lam, int(functional[1]))
-    elif functional == "inducedR":
-        vals = _intrinsic_scalar(surface, omega, basis, h=h)
-    else:
-        raise ValueError(f"unknown functional {functional!r}")
-    return float(np.dot(weights, dA * vals))
+    lam = None
+    out = []
+    for name in names:
+        if name == "area":
+            vals = np.ones(len(omega))
+        elif name == "inducedR":
+            vals = _intrinsic_scalar(surface, omega, basis, h=h)
+        else:
+            if lam is None:
+                lam = _principal_curvatures_param(G, B)
+            vals = _elementary(lam, int(name[1]))
+        out.append(float(np.dot(weights, dA * vals)))
+    return out[0] if isinstance(functional, str) else out
 
 
 # ---------------------------------------------------------------------------

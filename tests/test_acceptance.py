@@ -180,10 +180,9 @@ def test_criterion_10_aleksandrov_fenchel_chain():
     omega = quadrature.sphere_volume(n)
     # same closed forms, but every surface integral comes from the
     # independent parametric oracle
-    int_3h3 = 3.0 * oracles.parametric_surface_integrals(E, "H3", 20, 40)
-    int_2h2 = 2.0 * oracles.parametric_surface_integrals(E, "H2", 20, 40)
-    int_h1 = oracles.parametric_surface_integrals(E, "H1", 20, 40)
-    area = oracles.parametric_surface_integrals(E, "area", 20, 40)
+    h3, h2, int_h1, area = oracles.parametric_surface_integrals(
+        E, ("H3", "H2", "H1", "area"), 20, 40)
+    int_3h3, int_2h2 = 3.0 * h3, 2.0 * h2
     oc = np.array([
         massmod.ck_constant(n, 2) * int_3h3,
         0.25 * (int_2h2 / ((n - 1) * (n - 2) * omega)) ** ((n - 4) / (n - 3)),

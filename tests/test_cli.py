@@ -270,3 +270,36 @@ def test_thread_cap_validation(monkeypatch, capsys):
     assert ("note: LOVELOCK_MASS_THREADS=2 not applied: threadpoolctl is "
             "not installed") in captured.err
     assert json.loads(captured.out)["suite"] == "hypersurface"
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # every command kind of the benchmark workloads, in one fresh
+    # interpreter: the runtime needs numpy alone
+    config = tmp_path / "ellipsoid.json"
+    config.write_text(json.dumps({
+        "metric": {"family": "none", "n": 5},
+        "horizon": {"type": "ellipsoid", "semiaxes": [1.5, 1.2, 1.0, 0.9, 1.1]},
+        "quad_level": 4}))
+    argvs = [["mass", "--metric", "schwarzschild", "--k", "2", "--n", "5",
+              "--m", "1.2", "--quad-level", "2"],
+             ["mass", "--metric", "egb", "--as", "egb", "--n", "6",
+              "--alpha", "0.05", "--m", "1.0", "--quad-level", "2"],
+             ["mass", "--metric", "schwarzschild", "--k", "3", "--n", "7",
+              "--m", "1.0", "--quad-level", "2"],
+             ["penrose", "--metric", "schwarzschild-graph", "--n", "5",
+              "--m", "1.3", "--quad-level", "2"],
+             ["penrose", "--config", str(config)]]
+    argvs += [["verify", "--suite", suite, "--n", "5", "--seed", "1"]
+              for suite in sorted(cli._SUITES)]
+    script = (
+        "import json, sys\n"
+        "from lovelock_mass import cli\n"
+        f"for i, argv in enumerate({argvs!r}):\n"
+        f"    rc = cli.main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}.json'])\n"
+        "    assert rc in (0, 2), (argv, rc)\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []

@@ -188,19 +188,18 @@ def test_mass_estimate_dict_roundtrip():
 
 
 def _failing_first_start(monkeypatch, exc):
-    # least_squares that raises exc on the first start of each fit
-    # (the power-law fit passes bounds, the saturating fit method="lm")
-    real = massmod.least_squares
+    # a fit search that raises exc on the first start of each fit (the
+    # power-law fit searches one parameter, the saturating fit three)
+    real = massmod._varpro_fit
     seen = set()
 
-    def fake(fun, x0, **kw):
-        key = kw.get("method", "trf")
-        if key not in seen:
-            seen.add(key)
+    def fake(basis, y, q0, **kw):
+        if len(q0) not in seen:
+            seen.add(len(q0))
             raise exc("injected")
-        return real(fun, x0, **kw)
+        return real(basis, y, q0, **kw)
 
-    monkeypatch.setattr(massmod, "least_squares", fake)
+    monkeypatch.setattr(massmod, "_varpro_fit", fake)
     return seen
 
 
@@ -220,7 +219,7 @@ def test_fit_skips_a_start_that_raises_value_error(monkeypatch):
     series = massmod.FluxSeries(
         radii=radii, flux=0.8 * (1.0 + 0.5 / radii) ** -2.0, integrand_id="t")
     est = massmod.extrapolate_limit(series)
-    assert seen == {"trf", "lm"}
+    assert seen == {1, 3}
     assert est.model == "saturating"
     assert est.value == pytest.approx(0.8, rel=1e-8)
 
@@ -236,16 +235,16 @@ def test_saturating_fit_residual_call_count(monkeypatch):
     # the variable-projection fit makes a few hundred residual calls on
     # this series; a four-parameter fit with a finite-difference
     # Jacobian makes about 57 600, so the bound catches a return to it
-    real = massmod.least_squares
+    real = massmod._varpro_fit
     calls = []
 
-    def counting(fun, x0, **kw):
+    def counting(basis, y, q0, **kw):
         def counted(q):
             calls.append(1)
-            return fun(q)
-        return real(counted, x0, **kw)
+            return basis(q)
+        return real(counted, y, q0, **kw)
 
-    monkeypatch.setattr(massmod, "least_squares", counting)
+    monkeypatch.setattr(massmod, "_varpro_fit", counting)
     massmod.extrapolate_limit(massmod.FluxSeries(
         radii=_K2_RADII, flux=_K2_FLUX, integrand_id="gbc[n=6]"))
     assert 0 < len(calls) <= 2000
@@ -275,3 +274,23 @@ def test_flux_path_reads_neither_raised_curvature_nor_ricci(monkeypatch):
     mk3 = massmod.flux("mk", metrics.schwarzschild_family(3, 7, 1.0), 20.0,
                        rule7, k=3)
     assert np.isfinite([gbc, egb, mk3]).all() and gbc > 0 and mk3 > 0
+
+
+def test_saturating_fit_matches_minpack_reference():
+    # the numpy Levenberg-Marquardt search follows MINPACK's lmder, which
+    # scipy wraps: from the first grid start both reach the same limit
+    optimize = pytest.importorskip("scipy.optimize")
+    r, f = _K2_RADII, _K2_FLUX
+    m, s, res = massmod._fit_saturating(r, f, 0.89)
+
+    def residual(q):
+        c, s, pw = q
+        phi = (1.0 + c * r ** -s) ** -pw
+        return phi * (phi @ f) / (phi @ phi) - f
+
+    sol = optimize.least_squares(residual, x0=[0.5, 0.89, 1.0], method="lm",
+                                 max_nfev=4000)
+    phi = (1.0 + sol.x[0] * r ** -sol.x[1]) ** -sol.x[2]
+    assert res <= 1e-13
+    assert m == pytest.approx(phi @ f / (phi @ phi), rel=1e-12)
+    assert s == pytest.approx(sol.x[1], rel=1e-8)

@@ -238,6 +238,52 @@ def test_egb_horizon_relation():
         g.eval_g(inside)
 
 
+def test_egb_horizon_radius_matches_brentq():
+    optimize = pytest.importorskip("scipy.optimize")
+    eps = np.finfo(float).eps
+    found = {True: 0, False: 0}
+    for n in (4, 5, 6, 7, 8):
+        for alpha in (0.2, 0.05, 1e-4, -1e-4, -0.005, -0.05):
+            for m in (0.3, 1.0, 2.5):
+                at = 2.0 * (n - 2) * (n - 3) * alpha
+
+                def F(r):
+                    return 1.0 - metrics._egb_one_minus_F(n, alpha, m, r)
+
+                # F is real where 1 + 4 at m / r^n >= 0
+                lo = 1e-8 if at > 0 else (-4.0 * at * m) ** (1.0 / n) * (1 + 1e-12)
+                hi = max(1.0, (4.0 * m) ** (1.0 / (n - 2)), lo)
+                while F(hi) <= 0:
+                    hi *= 2.0
+                r0 = metrics.egb_horizon_radius(n, alpha, m)
+                found[r0 > 0] += 1
+                if F(lo) >= 0:
+                    assert r0 == 0.0, (n, alpha, m)
+                else:
+                    ref = optimize.brentq(F, lo, hi, xtol=1e-300, rtol=4 * eps)
+                    assert r0 == pytest.approx(ref, rel=1e-14, abs=0), (n, alpha, m)
+    # both outcomes occur, the no-horizon one through a root of the
+    # squared equation that the unsquared one rejects
+    assert found[True] > 0 and found[False] > 0
+    assert metrics.egb_horizon_radius(6, -0.05, 0.3) == 0.0
+    # without a horizon the metric still ends where F turns complex
+    g = metrics.egb_blackhole(6, -0.05, 0.3)
+    r_c = (4.0 * 2.0 * 4 * 3 * 0.05 * 0.3) ** (1.0 / 6)
+    for r, inside in ((0.99 * r_c, True), (1.01 * r_c, False)):
+        x = np.zeros(6)
+        x[0] = r
+        if inside:
+            with pytest.raises(metrics.DomainError):
+                g.eval_g(x)
+        else:
+            assert np.isfinite(g.eval_g(x)).all()
+    for m in (0.0, -1.0):
+        assert metrics.egb_horizon_radius(6, 0.1, m) == 0.0
+        assert metrics.egb_horizon_radius(6, -0.01, m) == 0.0
+    assert metrics.egb_horizon_radius(6, 0.0, 1.5) == 3.0 ** 0.25
+    assert metrics.egb_horizon_radius(6, 0.0, -1.5) == 0.0
+
+
 def test_egb_scalar_curvature_positive():
     from lovelock_mass import curvature
     g = metrics.egb_blackhole(6, 0.1, 1.0)

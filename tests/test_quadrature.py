@@ -127,3 +127,71 @@ def test_ball_integral_bounds_check():
     rule = quad.sphere_rule(5, 3)
     with pytest.raises(ValueError):
         quad.ball_integral(lambda p: np.ones(len(p)), 2.0, 1.0, rule)
+
+
+def _jacobi_reference(mp, level, a):
+    """Gauss-Jacobi nodes and weights for (1 - t^2)^a at the working
+    precision: Newton on the classical recurrence of P_N^(a,a), started
+    from the package's nodes, with w = c / ((1 - t^2) P_N'(t)^2)."""
+    a = mp.mpf(a)
+
+    def jacobi(n, b, x):
+        # P_n^(b,b)(x)
+        p0, p1 = mp.mpf(1), (b + 1) * x
+        if n == 0:
+            return p0
+        for k in range(2, n + 1):
+            c = 2 * k + 2 * b
+            p0, p1 = p1, ((c - 1) * c * (c - 2) * x * p1
+                          - 2 * (k + b - 1) ** 2 * c * p0) / (
+                              2 * k * (k + 2 * b) * (c - 2))
+        return p1
+
+    def dP(x):
+        return (level + 2 * a + 1) / 2 * jacobi(level - 1, a + 1, x)
+
+    const = (2 ** (2 * a + 1) * mp.gamma(level + a + 1) ** 2
+             / (mp.gamma(level + 2 * a + 1) * mp.factorial(level)))
+    nodes, weights = [], []
+    for t0 in quad._gauss_jacobi(level, float(a))[0]:
+        x = mp.mpf(float(t0))
+        for _ in range(3):
+            x -= jacobi(level, a, x) / dP(x)
+        nodes.append(x)
+        weights.append(const / ((1 - x * x) * dP(x) ** 2))
+    return nodes, weights
+
+
+def test_gauss_jacobi_rule_matches_high_precision_reference():
+    # every polar rule of the package: a = 0, 0.5, ..., 2.5 up to n = 8,
+    # against a 50-digit reference
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        for a in np.arange(6) / 2.0:
+            for level in range(2, 25):
+                t, w = quad._gauss_jacobi(level, a)
+                nodes, weights = _jacobi_reference(mp, level, a)
+                assert max(abs(mp.mpf(x) - y)
+                           for x, y in zip(t, nodes)) <= 2.3e-16
+                assert max(abs(mp.mpf(x) / y - 1)
+                           for x, y in zip(w, weights)) <= 2e-14
+
+
+def test_gauss_jacobi_rule_near_scipy_and_gamma():
+    special = pytest.importorskip("scipy.special")
+    for a in np.arange(6) / 2.0:
+        for level in range(2, 25):
+            t, w = quad._gauss_jacobi(level, a)
+            tr, wr = special.roots_jacobi(level, a, a)
+            assert np.abs(t - tr).max() <= 5e-13
+            assert np.abs(w / wr - 1.0).max() <= 5e-13
+    mp = pytest.importorskip("mpmath")
+    for n in range(3, 13):
+        # math.gamma stays within 2 ulp of the exact value; scipy's gamma
+        # is 1.9 ulp off at n = 9, so the two formulas differ by 3 ulp there
+        with mp.workdps(30):
+            exact = float(2 * mp.pi ** (mp.mpf(n) / 2)
+                          / mp.gamma(mp.mpf(n) / 2))
+        ref = 2.0 * math.pi ** (n / 2.0) / special.gamma(n / 2.0)
+        assert abs(quad.sphere_volume(n) - exact) <= 2 * math.ulp(exact)
+        assert abs(quad.sphere_volume(n) - ref) <= 4 * math.ulp(ref)
