@@ -9,7 +9,8 @@ Subcommands:
 Configuration is a single JSON document (--config); individual flags
 override config fields.  Numbers are serialized with full double
 precision so reruns with the same config and seed are bit-identical.
-Exit codes: 0 success, 1 error, 2 fit warning, 3 violated bound.
+Exit codes: 0 success, 1 error (usage errors too), 2 fit warning,
+3 violated bound.
 """
 
 import argparse
@@ -30,8 +31,8 @@ from . import curvature, graphcase, mass as massmod, metrics, quadrature
 
 _MAX_DIMENSION = 8
 
-_CONFIG_KEYS = {"metric", "mass", "quad_level", "seed", "output", "alpha",
-                "horizon", "suite", "n", "tolerance"}
+_CONFIG_KEYS = {"metric", "mass", "quad_level", "seed", "alpha", "horizon",
+                "suite", "n", "tolerance"}
 _METRIC_KEYS = {"family", "k", "n", "m", "alpha", "chart", "u"}
 _MASS_KEYS = {"k", "as", "radii", "r0", "ratio", "count"}
 
@@ -45,7 +46,7 @@ def _thread_cap():
     """Validate the LOVELOCK_MASS_THREADS cap and apply it if possible."""
     raw = os.environ.get("LOVELOCK_MASS_THREADS")
     if raw is None:
-        return None
+        return
     try:
         cap = int(raw)
         if cap < 1:
@@ -60,7 +61,6 @@ def _thread_cap():
         # computation is deterministic regardless; the cap is best-effort
         print(f"note: LOVELOCK_MASS_THREADS={cap} not applied: "
               "threadpoolctl is not installed", file=sys.stderr)
-    return cap
 
 
 def _load_config(path):
@@ -137,14 +137,13 @@ def _build_horizon(hcfg, n):
 
 
 def _radii(mass_cfg):
-    if "radii" in mass_cfg and mass_cfg["radii"] is not None:
-        radii = np.asarray([float(r) for r in mass_cfg["radii"]])
-        if len(radii) < 4 or np.any(np.diff(radii) <= 0):
-            raise ValueError("radii must be >= 4 strictly increasing values")
-        return radii
-    return massmod.default_radii(float(mass_cfg.get("r0", 20.0)),
-                                 float(mass_cfg.get("ratio", 2.0)),
-                                 int(mass_cfg.get("count", 4)))
+    """Configured radii or schedule, checked before any flux is integrated."""
+    radii = mass_cfg.get("radii")
+    if radii is None:
+        radii = massmod.default_radii(float(mass_cfg.get("r0", 20.0)),
+                                      float(mass_cfg.get("ratio", 2.0)),
+                                      int(mass_cfg.get("count", 4)))
+    return massmod._checked_radii(radii)
 
 
 def _emit(doc, out_path):
@@ -161,25 +160,18 @@ def _merge_flags(cfg, args):
     if args.metric is not None:
         mcfg["family"] = args.metric
     for key in ("k", "n", "m", "alpha"):
-        v = getattr(args, key, None)
-        if v is not None:
-            mcfg[key] = v
+        if getattr(args, key) is not None:
+            mcfg[key] = getattr(args, key)
     cfg = dict(cfg)
     cfg["metric"] = mcfg
     mass_cfg = dict(cfg.get("mass", {}))
-    if getattr(args, "k", None) is not None:
-        mass_cfg["k"] = args.k
-    if getattr(args, "as_", None) is not None:
-        mass_cfg["as"] = args.as_
-    for key in ("radii", "r0", "ratio", "count"):
-        v = getattr(args, key, None)
-        if v is not None:
-            mass_cfg[key] = v
+    # penrose has neither --as nor the radius flags
+    for key in ("k", "as", "radii", "r0", "ratio", "count"):
+        if getattr(args, key, None) is not None:
+            mass_cfg[key] = getattr(args, key)
     cfg["mass"] = mass_cfg
-    if getattr(args, "quad_level", None) is not None:
+    if args.quad_level is not None:
         cfg["quad_level"] = args.quad_level
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
     return cfg
 
 
@@ -221,8 +213,7 @@ def cmd_mass(args):
 def cmd_flux(args):
     _, g, radii, rule, k = _flux_inputs(args)
     series = massmod.FluxSeries(
-        radii=radii, flux=np.array([massmod.flux("mk", g, r, rule, k=k)
-                                    for r in radii]),
+        radii=radii, flux=[massmod.flux("mk", g, r, rule, k=k) for r in radii],
         integrand_id=f"m{k} n={g.n} k={k}")
     text = massmod.flux_series_csv(series)
     if args.csv:
@@ -311,9 +302,9 @@ def _suite_l2_24h4(n, rng):
     return [("l2-equals-24H4", res, 1e-8)]
 
 
-def _suite_invariance(n, rng, quad_level=3):
+def _suite_invariance(n, rng):
     g = metrics.schwarzschild_family(2, n, 1.0, chart="conformal")
-    rule = quadrature.sphere_rule(n, quad_level)
+    rule = quadrature.sphere_rule(n, 3)
     prof = metrics.radial_decay_profile(0.1, 1.0)
     c = metrics.perturbation_change(n, prof, decay=1.0)
     _, _, delta = massmod.invariance_check(g, c, 2, rule=rule)
@@ -380,52 +371,60 @@ def cmd_penrose(args):
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON configuration file")
-    p.add_argument("--out", help="JSON output path (default stdout)")
-    p.add_argument("--quad-level", dest="quad_level", type=int)
-    p.add_argument("--seed", type=int)
+class _Parser(argparse.ArgumentParser):
+    """argparse exiting 1 on a usage error: 2 is the fit-warning code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_metric_flags(p):
-    p.add_argument("--metric", help="metric family name")
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--as", dest="as_", choices=["adm", "gbc", "mk", "egb"])
-    p.add_argument("--radii", type=lambda s: [float(v) for v in s.split(",")])
-    p.add_argument("--r0", type=float)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--count", type=int)
+_FLAGS = {
+    "config": dict(help="JSON configuration file"),
+    "out": dict(help="JSON output path (default stdout)"),
+    "quad-level": dict(dest="quad_level", type=int),
+    "seed": dict(type=int),
+    "suite": dict(help=f"one of {sorted(_SUITES)}"),
+    "metric": dict(help="metric family name"),
+    "k": dict(type=int),
+    "n": dict(type=int),
+    "m": dict(type=float),
+    "alpha": dict(type=float),
+    "as": dict(choices=massmod._KINDS),
+    "radii": dict(type=lambda s: [float(v) for v in s.split(",")]),
+    "r0": dict(type=float),
+    "ratio": dict(type=float),
+    "count": dict(type=int),
+    "csv": dict(help="CSV output path (default stdout)"),
+}
+_METRIC_FLAGS = ("metric", "k", "n", "m", "alpha")
+_RADIUS_FLAGS = ("radii", "r0", "ratio", "count")
+# each subcommand takes only the flags it reads
+_COMMANDS = {
+    "mass": (cmd_mass, "extrapolated mass of a metric",
+             ("config", "out", "quad-level", *_METRIC_FLAGS, "as",
+              *_RADIUS_FLAGS)),
+    "flux": (cmd_flux, "flux-vs-radius CSV table",
+             ("config", "quad-level", *_METRIC_FLAGS, *_RADIUS_FLAGS, "csv")),
+    "verify": (cmd_verify, "randomized identity suites",
+               ("config", "out", "seed", "suite", "n")),
+    "penrose": (cmd_penrose, "bulk/boundary mass report",
+                ("config", "out", "quad-level", *_METRIC_FLAGS)),
+}
 
 
 @functools.lru_cache(maxsize=None)
 def _parser():
     """The argparse tree, built once per process; parse_args keeps no
     state on it between calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lovelock-mass",
         description="Flux-integral masses of asymptotically flat metrics")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_mass = sub.add_parser("mass", help="extrapolated mass of a metric")
-    _add_common(p_mass)
-    _add_metric_flags(p_mass)
-
-    p_flux = sub.add_parser("flux", help="flux-vs-radius CSV table")
-    _add_common(p_flux)
-    _add_metric_flags(p_flux)
-    p_flux.add_argument("--csv", help="CSV output path (default stdout)")
-
-    p_ver = sub.add_parser("verify", help="randomized identity suites")
-    _add_common(p_ver)
-    p_ver.add_argument("--suite", help=f"one of {sorted(_SUITES)}")
-    p_ver.add_argument("--n", type=int)
-
-    p_pen = sub.add_parser("penrose", help="bulk/boundary mass report")
-    _add_common(p_pen)
-    _add_metric_flags(p_pen)
+    for command, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -433,20 +432,12 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     _thread_cap()
     try:
-        if args.command == "mass":
-            return cmd_mass(args)
-        if args.command == "flux":
-            return cmd_flux(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "penrose":
-            return cmd_penrose(args)
+        return _COMMANDS[args.command][0](args)
     except (ValueError, metrics.DomainError, OSError, KeyError) as exc:
         return _fail(str(exc))
     except ArithmeticError as exc:
         # overflow or division by zero in user text, e.g. a metric profile
         return _fail(f"{type(exc).__name__}: {exc}")
-    return _fail(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

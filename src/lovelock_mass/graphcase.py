@@ -233,17 +233,13 @@ def quadratic_graph(n, H, v=None, name="quadratic"):
 
 
 def graph_L2(f, x):
-    """L_2 on a graph via P^{ijkl}(f_ik f_jl - f_il f_jk) / (1 + |df|^2)."""
+    """L_2 on a graph as P^{ijkl} R_ijkl, with R_ijkl = (f_ik f_jl -
+    f_il f_jk) / (1 + |df|^2) from the graph metric's curvature hook."""
     pts, single = metrics._batch(x)
     g = f.metric
     bund = curvature.riemann(g, pts)
     P = curvature.p_tensor(g, pts, bund=bund)
-    d2f = f.hess(pts)
-    df = f.grad(pts)
-    denom = 1.0 + np.einsum('xi,xi->x', df, df)
-    hh = (np.einsum('xik,xjl->xijkl', d2f, d2f)
-          - np.einsum('xil,xjk->xijkl', d2f, d2f))
-    out = np.einsum('xijkl,xijkl->x', P, hh) / denom
+    out = np.einsum('xijkl,xijkl->x', P, bund.riemann_lo)
     return metrics._unbatch(out, single)
 
 
@@ -272,7 +268,7 @@ def _inner_radius(f):
 
 
 def bulk_mass(f, rule=None, r_inner=None, r_outer=float("inf"),
-              radial_level=64, tail_check=True):
+              radial_level=64):
     """Second-order mass of a graph as (c2/2) * integral of L_2, flat measure.
 
     The domain is the annulus r_inner < r < r_outer; r_inner defaults to
@@ -288,7 +284,7 @@ def bulk_mass(f, rule=None, r_inner=None, r_outer=float("inf"),
     def F(pts):
         return curvature.lovelock_L(2, g, pts)
 
-    if tail_check and np.isinf(r_outer):
+    if np.isinf(r_outer):
         probe = max(100.0, 10.0 * max(r_inner, 1.0))
         direction = np.zeros(n)
         direction[0] = 1.0
@@ -322,20 +318,19 @@ def elementary_symmetric(values, k):
 
 @dataclass(frozen=True)
 class HypersurfaceData:
-    """Second fundamental form data at one point of a hypersurface."""
+    """Principal and mean curvatures at one point of a hypersurface."""
 
-    second_ff: np.ndarray
     eigenvalues: np.ndarray
     mean_curvatures: np.ndarray  # H_1 .. H_4
     induced_scalar: float
 
 
-def _hypersurface_data(second_ff, lam):
-    """HypersurfaceData from the second fundamental form and its
-    principal curvatures lam (Gauss equation for the induced scalar)."""
+def _hypersurface_data(lam):
+    """HypersurfaceData from the principal curvatures lam (Gauss equation
+    for the induced scalar)."""
     lam = np.sort(lam)
     Hks = np.array([elementary_symmetric(lam, k) for k in (1, 2, 3, 4)])
-    return HypersurfaceData(second_ff=second_ff, eigenvalues=lam,
+    return HypersurfaceData(eigenvalues=lam,
                             mean_curvatures=Hks,
                             induced_scalar=float(2.0 * Hks[1]))
 
@@ -353,7 +348,7 @@ def graph_hypersurface_data(f, at):
     A = H / math.sqrt(W)
     g = np.eye(f.n) + np.outer(df, df)
     lam = np.linalg.eigvals(np.linalg.solve(g, A))
-    return _hypersurface_data(A, lam.real)
+    return _hypersurface_data(lam.real)
 
 
 @dataclass(frozen=True)
@@ -411,8 +406,7 @@ def sphere_surface(n, radius):
 def surface_hypersurface_data(surface, omega):
     """Hypersurface data of a parametric surface at one direction."""
     x = surface.embed(np.asarray(omega, dtype=float)[None, :])
-    return _hypersurface_data(surface._shape_operator(x)[0],
-                              surface.principal_curvatures(x)[0])
+    return _hypersurface_data(surface.principal_curvatures(x)[0])
 
 
 def hypersurface_data(source, at):
@@ -482,7 +476,6 @@ class PenroseReport:
     mass: float
     af_chain: np.ndarray
     slack: np.ndarray
-    per_component: tuple
 
 
 def af_chain_bounds(sigma, rule):
@@ -513,23 +506,21 @@ def penrose_report(f, sigma, rule=None, radial_level=64):
     chain = af_chain_bounds(sigma, rule)
     boundary = float(chain[0])
     total = bulk + boundary
-    slack = total - chain
-    comp = ({"bulk": bulk, "boundary": boundary, "mass": total,
-             "bounds": chain.tolist(), "slack": slack.tolist()},)
     return PenroseReport(bulk_term=bulk, boundary_term=boundary, mass=total,
-                         af_chain=chain, slack=slack, per_component=comp)
+                         af_chain=chain, slack=total - chain)
 
 
 def penrose_report_dict(report):
-    """JSON-ready dict of a PenroseReport."""
-    return {
+    """JSON-ready dict of a PenroseReport; per_component repeats it for
+    the one component, the graph with its horizon."""
+    doc = {
         "bulk": float(report.bulk_term),
         "boundary": float(report.boundary_term),
         "mass": float(report.mass),
         "bounds": [float(b) for b in report.af_chain],
         "slack": [float(s) for s in report.slack],
-        "per_component": list(report.per_component),
     }
+    return dict(doc, per_component=[dict(doc)])
 
 
 def radial_graph_formulas(slope, r, n):

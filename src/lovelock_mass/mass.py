@@ -61,20 +61,34 @@ def ck_constant(n, k):
         2.0 ** (k - 1) * math.factorial(n - 1) * quadrature.sphere_volume(n))
 
 
+def _checked_radii(radii):
+    """The radii as a float array; ValueError unless there are at least 4,
+    all positive and strictly increasing."""
+    r = np.asarray(radii, dtype=float)
+    if r.ndim != 1 or len(r) < 4 or not (np.all(r > 0) and np.all(np.diff(r) > 0)):
+        raise ValueError("need at least 4 positive, strictly increasing "
+                         f"radii, got {r.tolist()}")
+    return r
+
+
 @dataclass(frozen=True)
 class FluxSeries:
-    """Flux samples on an increasing schedule of sphere radii."""
+    """Finite flux samples on at least 4 positive, strictly increasing
+    sphere radii, both held as float arrays."""
 
     radii: np.ndarray
     flux: np.ndarray
     integrand_id: str
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        if len(r) != len(self.flux):
+        r = _checked_radii(self.radii)
+        f = np.asarray(self.flux, dtype=float)
+        if f.shape != r.shape:
             raise ValueError("radii and flux lengths differ")
-        if np.any(np.diff(r) <= 0):
-            raise ValueError("radii must be strictly increasing")
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"flux samples must be finite, got {f.tolist()}")
+        object.__setattr__(self, "radii", r)
+        object.__setattr__(self, "flux", f)
 
 
 @dataclass(frozen=True)
@@ -91,8 +105,6 @@ class MassEstimate:
 
 def default_radii(r0=20.0, ratio=2.0, count=4):
     """Geometric radius schedule r0 * ratio^j, increasing from r0 > 0."""
-    if count < 4:
-        raise ValueError("need at least 4 radii for extrapolation")
     if not (r0 > 0 and ratio > 1):
         raise ValueError(f"radius schedule needs r0 > 0 and ratio > 1, "
                          f"got r0={r0!r}, ratio={ratio!r}")
@@ -182,33 +194,25 @@ def mass(kind, g, radii=None, rule=None, *, k=2, alpha=0.0):
     The second-order mass is defined for n >= 5; in n = 4 the
     normalization degenerates and the flux limit vanishes identically,
     so 0 is returned with a warning.  The order-k mass needs
-    1 <= k < n/2.
+    1 <= k < n/2.  The kind, the order and the radii are checked before
+    any flux is integrated.
     """
     n = g.n
     _check_kind(kind, n, k)
+    radii = _checked_radii(default_radii() if radii is None else radii)
     if kind == "gbc" and n == 4:
         warnings.warn("the second-order mass vanishes identically in n=4")
-        radii = default_radii() if radii is None else np.asarray(radii, float)
         samples = FluxSeries(radii=radii, flux=np.zeros(len(radii)),
                              integrand_id="gbc[n=4]")
         return MassEstimate(value=0.0, fit_exponent=float("inf"),
                             residual=0.0, samples=samples, model="degenerate")
-    radii = default_radii() if radii is None else radii
-    rule = _rule_for(g.n, rule)
+    rule = _rule_for(n, rule)
     integrand_id = {"adm": f"adm[n={n}]", "gbc": f"gbc[n={n}]",
                     "mk": f"m{k}[n={n}]",
                     "egb": f"egb[n={n},alpha={alpha}]"}[kind]
-    return extrapolate_limit(_series(
-        lambda r: flux(kind, g, r, rule, k=k, alpha=alpha), radii,
-        integrand_id))
-
-
-def _series(fluxfun, radii, integrand_id):
-    radii = np.asarray(radii, dtype=float)
-    if len(radii) < 4:
-        raise ValueError("need at least 4 radii for extrapolation")
-    vals = np.array([fluxfun(r) for r in radii])
-    return FluxSeries(radii=radii, flux=vals, integrand_id=integrand_id)
+    vals = [flux(kind, g, r, rule, k=k, alpha=alpha) for r in radii]
+    return extrapolate_limit(FluxSeries(radii=radii, flux=vals,
+                                        integrand_id=integrand_id))
 
 
 def _projection(basis, y, q):
@@ -343,9 +347,29 @@ def _varpro_fit(basis, y, q0, max_nfev, tol=1e-8):
                     break
 
 
+def _best_fit(basis, y, starts, max_nfev, tol=0.0):
+    """(q, c, max residual) of the best _varpro_fit over starts in order,
+    skipping a start where the basis is invalid (None if all are); a later
+    fit wins only with a strictly smaller residual, and one <= tol stops
+    the search (a zero residual cannot be beaten)."""
+    best = None
+    for q0 in starts:
+        try:
+            q, res, coef = _varpro_fit(basis, y, q0, max_nfev=max_nfev)
+        except ValueError:
+            continue
+        res = float(np.max(np.abs(res)))
+        if best is None or res < best[2]:
+            best = (q, coef, res)
+        if res <= tol:
+            break
+    return best
+
+
 def _fit_power_law(r, f):
     """Best fit of f ~ m + a r^-s, s in [1e-3, 50]; returns (m, a, s,
-    maxresidual)."""
+    maxresidual).  Raises ValueError when the basis r^-s is invalid at
+    every start, e.g. when it underflows at huge radii."""
     d = np.diff(f)
     s0 = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -367,23 +391,14 @@ def _fit_power_law(r, f):
         return (np.column_stack([np.ones_like(r), t]),
                 np.column_stack([np.zeros_like(t), dt])[None])
 
-    best = None
-    for start in {s0, 1.0, 2.0, 4.0}:
-        if not 1e-3 <= start <= 50.0:
-            continue
-        try:
-            q, res, coef = _varpro_fit(basis, f, [start], max_nfev=100)
-        except ValueError:
-            continue
-        cand_fit = (coef[0], coef[1], min(max(q[0], 1e-3), 50.0),
-                    float(np.max(np.abs(res))))
-        if best is None or cand_fit[3] < best[3]:
-            best = cand_fit
+    best = _best_fit(basis, f, [[s] for s in {s0, 1.0, 2.0, 4.0}
+                                if 1e-3 <= s <= 50.0], max_nfev=100)
     if best is None:
-        A = basis([s0])[0]
-        coef, *_ = np.linalg.lstsq(A, f, rcond=None)
-        best = (coef[0], coef[1], s0, float(np.max(np.abs(A @ coef - f))))
-    return best
+        raise ValueError(f"no power-law fit r^-s of the flux series on "
+                         f"radii {r.tolist()}: the basis is invalid at "
+                         f"every start")
+    q, coef, res = best
+    return coef[0], coef[1], min(max(q[0], 1e-3), 50.0), res
 
 
 def _fit_saturating(r, f, s_hint):
@@ -398,7 +413,6 @@ def _fit_saturating(r, f, s_hint):
     sign = np.sign(f[-1])
     fa = sign * f
     log_r = np.log(r)
-    tol = 1e-13 * (1.0 + float(np.max(np.abs(f))))
 
     def basis(q):
         c, s, pw = q
@@ -412,19 +426,14 @@ def _fit_saturating(r, f, s_hint):
         dphi = np.array([-u, c * log_r * u, -np.log(base) * phi])
         return phi[:, None], dphi[:, :, None]
 
-    best = None
-    for pw0, c0 in itertools.product((1.0, 5.0, 20.0), (0.5, -0.5)):
-        try:
-            q, resid, coef = _varpro_fit(basis, fa, [c0, max(s_hint, 0.05), pw0],
-                                         max_nfev=4000)
-        except ValueError:
-            continue
-        res = float(np.max(np.abs(resid)))
-        if best is None or res < best[2]:
-            best = (sign * coef[0], float(q[1]), res)
-        if res <= tol:
-            break
-    return best
+    starts = [[c0, max(s_hint, 0.05), pw0]
+              for pw0, c0 in itertools.product((1.0, 5.0, 20.0), (0.5, -0.5))]
+    best = _best_fit(basis, fa, starts, max_nfev=4000,
+                     tol=1e-13 * (1.0 + float(np.max(np.abs(f)))))
+    if best is None:
+        return None
+    q, coef, res = best
+    return sign * coef[0], float(q[1]), res
 
 
 def extrapolate_limit(series):
@@ -432,31 +441,28 @@ def extrapolate_limit(series):
 
     Fits m + a r^-s first; if that leaves residuals above round-off, a
     saturating power profile is tried as well and the better model wins.
-    A constant series short-circuits to its last value with an infinite
-    exponent.  Poor fits set the warning flag rather than failing.
+    A constant series, or a fit with a ~ 0, gives the last value with an
+    infinite exponent (model "constant").  Every model sets the warning
+    flag when its max residual exceeds 1e-6 (1 + max|f|) or the steps
+    between neighbouring samples grow; a series on which no power law can
+    be fitted at all raises ValueError.
     """
-    r = np.asarray(series.radii, dtype=float)
-    f = np.asarray(series.flux, dtype=float)
-    if len(r) < 4:
-        raise ValueError("need at least 4 samples to extrapolate")
+    r, f = series.radii, series.flux
     scale = 1.0 + float(np.max(np.abs(f)))
     if np.max(f) - np.min(f) <= 1e-13 * scale:
         return MassEstimate(value=float(f[-1]), fit_exponent=float("inf"),
                             residual=float(np.max(f) - np.min(f)),
                             samples=series, model="constant")
     m_a, a_a, s_a, res_a = _fit_power_law(r, f)
-    if abs(a_a) <= 1e-12 * scale:
-        return MassEstimate(value=float(f[-1]), fit_exponent=float("inf"),
-                            residual=res_a, samples=series, model="constant")
     value, expo, resid, model = float(m_a), float(s_a), res_a, "power-law"
-    if res_a > 1e-9 * scale:
+    if abs(a_a) <= 1e-12 * scale:
+        value, expo, model = float(f[-1]), float("inf"), "constant"
+    elif res_a > 1e-9 * scale:
         sat = _fit_saturating(r, f, s_a)
         if sat is not None and sat[2] < res_a:
             value, expo, resid, model = float(sat[0]), float(sat[1]), sat[2], "saturating"
-    warn = resid > 1e-6 * scale
-    d = np.abs(np.diff(f))
-    if np.any(np.diff(d) > 1e-12 * scale):
-        warn = True
+    warn = (resid > 1e-6 * scale
+            or bool(np.any(np.diff(np.abs(np.diff(f))) > 1e-12 * scale)))
     return MassEstimate(value=value, fit_exponent=expo, residual=resid,
                         samples=series, model=model, warning=warn)
 
@@ -479,7 +485,6 @@ def invariance_check(g, c, k, radii=None, rule=None):
 
     Returns (estimate, estimate_pushforward, delta).
     """
-    radii = default_radii() if radii is None else radii
     rule = _rule_for(g.n, rule)
     est = mass("mk", g, radii, rule, k=k)
     ghat = metrics.pushforward(g, c)

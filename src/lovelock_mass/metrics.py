@@ -114,8 +114,6 @@ class MetricField:
         index layout
     eval_d2g, eval_d3g : always None; nothing differentiates g twice
     tau : declared decay order of g - delta (TAU_INFINITE for exact flat)
-    derivative_provenance : "analytic" when dg and the curvature come
-        from closed forms, "finite-difference" otherwise
     name : short identifier used in reports
     eval_curvature : closed form (B, n) -> R_ijkl in the CurvatureBundle
         layout, the only source of curvature riemann reads; None only
@@ -128,7 +126,6 @@ class MetricField:
     eval_d2g: Optional[Callable]
     eval_d3g: Optional[Callable]
     tau: float
-    derivative_provenance: str = "analytic"
     name: str = "metric"
     eval_curvature: Optional[Callable] = None
 
@@ -137,14 +134,13 @@ class MetricField:
 class CoordinateChange:
     """A diffeomorphism given by the inverse map psi: xhat -> x.
 
-    forward evaluates psi, jacobian its derivative d psi^i / d xhat^a
-    (layout [..., i, a]), d_jacobian the second derivative with layout
-    [..., i, a, b].  Both derivatives take the base point psi(xhat) as
-    an optional base= when the caller has it already.  decay is the
-    decay order of phi in xhat = x + phi.
+    forward evaluates psi; jacobian gives its derivative d psi^i / d xhat^a
+    (layout [..., i, a]) and d_jacobian the second derivative (layout
+    [..., i, a, b]), both taking the base point x = psi(xhat) alone, as
+    pushforward hands it on.  decay is the decay order of phi in
+    xhat = x + phi.
     """
 
-    n: int
     forward: Callable
     jacobian: Callable
     d_jacobian: Callable
@@ -399,7 +395,7 @@ def radial_metric(n, a_profile, b_profile, tau, r_min=0.0,
 
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
                        eval_d2g=None, eval_d3g=None,
-                       tau=tau, derivative_provenance="analytic", name=name,
+                       tau=tau, name=name,
                        eval_curvature=eval_curvature)
 
 
@@ -523,7 +519,6 @@ def graph_metric(f):
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
                        eval_d2g=None, eval_d3g=None,
                        tau=getattr(f, "tau", np.nan),
-                       derivative_provenance="analytic",
                        name=f"graph({getattr(f, 'name', 'f')})",
                        eval_curvature=eval_curvature)
 
@@ -605,15 +600,15 @@ def rotation_change(Q):
         pts, single = _batch(x)
         return _unbatch(pts @ Q.T, single)
 
-    def jacobian(x, base=None):
-        pts, single = _batch(x)
+    def jacobian(base):
+        pts, single = _batch(base)
         return _unbatch(np.broadcast_to(Q, (len(pts), n, n)).copy(), single)
 
-    def d_jacobian(x, base=None):
-        pts, single = _batch(x)
+    def d_jacobian(base):
+        pts, single = _batch(base)
         return _unbatch(np.zeros((len(pts), n, n, n)), single)
 
-    return CoordinateChange(n=n, forward=forward, jacobian=jacobian,
+    return CoordinateChange(forward=forward, jacobian=jacobian,
                             d_jacobian=d_jacobian, decay=TAU_INFINITE,
                             name="rotation")
 
@@ -628,7 +623,7 @@ def perturbation_change(n, profile, decay):
 
     The inverse map psi is evaluated by Newton iteration; the Jacobian
     and its derivative come from the closed form of D phi at the base
-    point, which they solve for only when not given it.
+    point.
     """
     eye = np.eye(n)
 
@@ -650,9 +645,6 @@ def perturbation_change(n, profile, decay):
                  + pts[:, :, None, None] * d2c[:, None, :, :])
         return phi, dphi, d2phi
 
-    def _solved(pts, base):
-        return forward(pts) if base is None else _batch(base)[0]
-
     def forward(x):
         pts, single = _batch(x)
         cur = pts.copy()
@@ -667,29 +659,28 @@ def perturbation_change(n, profile, decay):
             raise RuntimeError("perturbation inverse did not converge")
         return _unbatch(cur, single)
 
-    def jacobian(x, base=None):
-        pts, single = _batch(x)
-        _, dphi = _phi_parts(_solved(pts, base), 1)
+    def jacobian(base):
+        pts, single = _batch(base)
+        _, dphi = _phi_parts(pts, 1)
         J = np.linalg.inv(eye[None] + dphi)
         return _unbatch(J, single)
 
-    def d_jacobian(x, base=None):
-        pts, single = _batch(x)
-        _, dphi, d2phi = _phi_parts(_solved(pts, base), 2)
+    def d_jacobian(base):
+        pts, single = _batch(base)
+        _, dphi, d2phi = _phi_parts(pts, 2)
         J = np.linalg.inv(eye[None] + dphi)
         # d_b J^i_a = -J^i_p (d_s d_q phi^p) J^q_a J^s_b
         dJ = -np.einsum('xip,xpqs,xqa,xsb->xiab', J, d2phi, J, J,
                         optimize=True)
         return _unbatch(dJ, single)
 
-    return CoordinateChange(n=n, forward=forward, jacobian=jacobian,
+    return CoordinateChange(forward=forward, jacobian=jacobian,
                             d_jacobian=d_jacobian, decay=decay,
                             name="perturbation")
 
 
 def pushforward(g, c):
-    """The metric g expressed in the new coordinates of a CoordinateChange
-    (the identity passes g through).
+    """The metric g expressed in the new coordinates of a CoordinateChange.
 
     ghat_ab(xhat) = J^i_a J^j_b g_ij(psi(xhat)); the first derivative is
     assembled by the chain rule, and the curvature pulled back from g's:
@@ -697,14 +688,12 @@ def pushforward(g, c):
     decay is the slower of g's and the change's.  Each evaluator solves
     for the base point psi(xhat) once and hands it to the Jacobians.
     """
-    if c.name == "identity":
-        return g
     n = g.n
 
     def eval_g(x):
         pts, single = _batch(x)
         base = c.forward(pts)
-        J = c.jacobian(pts, base=base)
+        J = c.jacobian(base)
         gv = g.eval_g(base)
         out = np.einsum('xia,xij,xjb->xab', J, gv, J, optimize=True)
         return _unbatch(out, single)
@@ -712,8 +701,8 @@ def pushforward(g, c):
     def eval_dg(x):
         pts, single = _batch(x)
         base = c.forward(pts)
-        J = c.jacobian(pts, base=base)
-        dJ = c.d_jacobian(pts, base=base)
+        J = c.jacobian(base)
+        dJ = c.d_jacobian(base)
         gv = g.eval_g(base)
         dgv = g.eval_dg(base)
         out = (np.einsum('xiac,xij,xjb->xabc', dJ, gv, J, optimize=True)
@@ -724,7 +713,7 @@ def pushforward(g, c):
 
     def eval_curvature(pts):
         base = c.forward(pts)
-        J = c.jacobian(pts, base=base)
+        J = c.jacobian(base)
         R = g.eval_curvature(base)
         return np.einsum('xia,xjb,xkc,xld,xijkl->xabcd', J, J, J, J, R,
                          optimize=True)
@@ -732,7 +721,6 @@ def pushforward(g, c):
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
                        eval_d2g=None, eval_d3g=None,
                        tau=min(g.tau, c.decay),
-                       derivative_provenance=g.derivative_provenance,
                        name=f"pushforward({g.name},{c.name})",
                        eval_curvature=(None if g.eval_curvature is None
                                        else eval_curvature))
@@ -755,5 +743,4 @@ def from_g_only(n, eval_g_batched, tau, name="fd-metric"):
 
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
                        eval_d2g=None, eval_d3g=None,
-                       tau=tau, derivative_provenance="finite-difference",
-                       name=name)
+                       tau=tau, name=name)

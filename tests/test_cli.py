@@ -303,3 +303,69 @@ def test_commands_run_without_scipy(tmp_path):
                           text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+def test_usage_errors_exit_1(capsys):
+    # argparse's own code 2 is the fit-warning code, so usage errors exit 1
+    with pytest.raises(SystemExit) as exc:
+        run(["mass", "--bogus", "1"])
+    assert exc.value.code == 1
+    assert "error: unrecognized arguments: --bogus 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["mass", "--seed", "1"], ["flux", "--out", "x.json"], ["flux", "--seed", "1"],
+    ["flux", "--as", "gbc"], ["verify", "--quad-level", "3"],
+    ["penrose", "--seed", "1"], ["penrose", "--as", "gbc"],
+    ["penrose", "--radii", "1,2,3,4"], ["penrose", "--r0", "10"],
+    ["penrose", "--ratio", "3"], ["penrose", "--count", "5"]])
+def test_unread_flags_rejected(argv, capsys):
+    # each subcommand takes only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+def test_config_output_key_rejected(tmp_path, capsys):
+    # no command reads "output": results go to --out or stdout
+    cfg = tmp_path / "o.json"
+    cfg.write_text(json.dumps({"output": str(tmp_path / "x.json"),
+                               "suite": "hypersurface", "n": 4}))
+    assert run(["verify", "--config", str(cfg)]) == 1
+    assert "unknown config keys: ['output']" in capsys.readouterr().err
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.skipif(not (PERFBENCH / "tracer.py").exists(),
+                    reason="the benchmark harness is not in this checkout")
+def test_benchmark_tracer_binds_every_name(tmp_path):
+    # the benchmark's tracer rebinds package names by hand; a small op of
+    # each command under it fails here when a name it binds is gone
+    argvs = [["mass", "--metric", "schwarzschild", "--k", "2", "--n", "6",
+              "--m", "1.0", "--quad-level", "2"],
+             ["flux", "--metric", "schwarzschild", "--k", "2", "--n", "5",
+              "--quad-level", "2", "--csv", str(tmp_path / "f.csv")],
+             ["verify", "--suite", "hypersurface", "--n", "4", "--seed", "1"],
+             ["penrose", "--metric", "schwarzschild-graph", "--n", "5",
+              "--m", "1.0", "--quad-level", "2"]]
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+        "import tracer\n"
+        "from lovelock_mass import cli\n"
+        "t = tracer.Tracer()\n"
+        "tracer.install(t)\n"
+        f"for i, argv in enumerate({argvs!r}):\n"
+        f"    if argv[0] != 'flux':\n"
+        f"        argv = argv + ['--out', {str(tmp_path)!r} + f'/{{i}}.json']\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "assert t.spans\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr

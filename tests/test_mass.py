@@ -25,6 +25,51 @@ def test_flux_series_validation():
                            flux=np.zeros(4), integrand_id="x")
     with pytest.raises(ValueError):
         massmod.mass("adm", metrics.euclidean(5), radii=[10.0, 20.0, 40.0])
+    # a non-finite flux value, fewer than 4 radii or a non-positive radius
+    # is refused up front: a NaN once gave a NaN mass and an inf the last
+    # value as model "constant", both with no warning
+    radii = [20.0, 40.0, 80.0, 160.0]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="flux samples must be finite"):
+            massmod.FluxSeries(radii=radii, flux=[1.0, bad, 1.2, 1.3],
+                               integrand_id="x")
+    for r in ([20.0, 40.0, 80.0], [0.0, 40.0, 80.0, 160.0],
+              [-20.0, 40.0, 80.0, 160.0]):
+        with pytest.raises(ValueError, match="at least 4 positive"):
+            massmod.FluxSeries(radii=r, flux=np.ones(len(r)), integrand_id="x")
+
+
+def test_mass_checks_radii_before_any_flux(monkeypatch):
+    def no_flux(*args, **kwargs):
+        raise AssertionError("flux computed for rejected radii")
+
+    monkeypatch.setattr(massmod, "flux", no_flux)
+    g = metrics.schwarzschild_family(2, 6, 1.0)
+    with pytest.raises(ValueError, match="strictly increasing radii"):
+        massmod.mass("gbc", g, [160.0, 80.0, 40.0, 20.0],
+                     quadrature.sphere_rule(6, 2))
+
+
+def test_power_law_basis_underflow_raises():
+    # at radii 1e160 * 2^j the basis r^-s underflows at every start; the
+    # least-squares fallback that once answered here returned 1.875 as a
+    # constant with no warning
+    radii = 1e160 * 2.0 ** np.arange(4)
+    series = massmod.FluxSeries(radii=radii, flux=[1.0, 1.5, 1.75, 1.875],
+                                integrand_id="huge")
+    with pytest.raises(ValueError, match="no power-law fit"):
+        massmod.extrapolate_limit(series)
+
+
+def test_constant_fit_with_large_residual_warns():
+    # below unit radius r^-s is large, so the best fit has a ~ 0 and the
+    # series is read as a constant; its residual of 0.1 must still warn
+    series = massmod.FluxSeries(radii=0.01 * 2.0 ** np.arange(4),
+                                flux=[5.0, 1.0, 1.2, 1.1], integrand_id="x")
+    est = massmod.extrapolate_limit(series)
+    assert est.model == "constant"
+    assert est.residual > 0.09
+    assert est.warning
 
 
 def test_default_radii_schedule():

@@ -320,7 +320,6 @@ def test_pushforward_derivative_chain_rule():
     c = metrics.perturbation_change(
         5, metrics.radial_decay_profile(0.1, 1.0), decay=1.0)
     ghat = metrics.pushforward(g, c)
-    assert ghat.derivative_provenance == "analytic"
     x = np.array([2.5, -1.0, 1.5, 0.5, -0.4])
     dg_fd = oracles._central_d1(ghat.eval_g, x, 1e-5, richardson=True)
     assert np.abs(dg_fd - ghat.eval_dg(x)).max() < 1e-7
@@ -348,13 +347,11 @@ def test_pushforward_solves_once_per_evaluator(monkeypatch):
     steps.clear()
     curvature.riemann(metrics.pushforward(g, c), pts)
     assert len(steps) == 3 * per_solve
-    # a given base point gives the Jacobians of the solved one
+    # the Jacobians take the solved base point and solve nothing
     base = c.forward(pts)
     steps.clear()
-    J, dJ = c.jacobian(pts, base=base), c.d_jacobian(pts, base=base)
+    c.jacobian(base), c.d_jacobian(base)
     assert not steps
-    assert np.array_equal(J, c.jacobian(pts))
-    assert np.array_equal(dJ, c.d_jacobian(pts))
 
 
 def test_radial_profile_from_text():
@@ -393,7 +390,7 @@ def test_coordinate_change_jacobian_consistency():
         5, metrics.radial_decay_profile(0.1, 1.0), decay=1.0)
     rng = np.random.default_rng(15)
     pts = _random_points(rng, 5, 10, lo=2.0, hi=5.0)
-    J = c.jacobian(pts)
+    J = c.jacobian(c.forward(pts))
     h = 1e-6
     for a in range(5):
         e = np.zeros(5)
