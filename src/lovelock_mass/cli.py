@@ -14,17 +14,13 @@ Exit codes: 0 success, 1 error (usage errors too), 2 fit warning,
 """
 
 import argparse
-import functools
 import json
-# both imported with the CLI rather than on first use: argparse's gettext
-# lookup imports locale when the parser is first built, and numpy imports
-# numpy.random at the first verify seed
-import locale  # noqa: F401
 import math
 import os
 import sys
 
 import numpy as np
+# imported with the CLI rather than at the first verify seed
 import numpy.random  # noqa: F401
 
 from . import curvature, graphcase, mass as massmod, metrics, quadrature
@@ -327,7 +323,8 @@ def cmd_verify(args):
     if suite not in _SUITES:
         return _fail(f"unknown suite {suite!r}; available: "
                      f"{sorted(_SUITES)}")
-    n = int(args.n or cfg.get("n") or 5)
+    n = args.n if args.n is not None else cfg.get("n")
+    n = 5 if n is None else int(n)
     if not 4 <= n <= _MAX_DIMENSION:
         return _fail(f"n must be in [4, {_MAX_DIMENSION}]")
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
@@ -413,10 +410,7 @@ _COMMANDS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _parser():
-    """The argparse tree, built once per process; parse_args keeps no
-    state on it between calls."""
+def _build_parser():
     parser = _Parser(
         prog="lovelock-mass",
         description="Flux-integral masses of asymptotically flat metrics")
@@ -428,8 +422,13 @@ def _parser():
     return parser
 
 
+# the argparse tree, built once at import; parse_args keeps no state on it
+# between calls
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     _thread_cap()
     try:
         return _COMMANDS[args.command][0](args)

@@ -10,12 +10,13 @@ and the derived objects: scalar curvature, Weyl/sigma_2 split, the
 Gauss-Bonnet curvatures L_k, the divergence-free curvature 2-tensors
 E^(k), and the rank-4 flux tensors P_(k).
 
-riemann has one route for every metric: R_ijkl from the metric's
-closed-form eval_curvature (warped-product curvature for radial
-metrics, the Gauss equation for graphs, a pullback through the
-Jacobian for pushforwards), with g, g^-1 and dg.  Every other field of
-the bundle (Gamma, R_ij^kl, Ricci, R and the pair matrix R_I^J) is
-built from these when first read.  No second derivative of g is
+riemann has one route for every metric: R_IJ on the index pairs of
+multiindex.pairs from the metric's closed-form eval_curvature
+(warped-product curvature for radial metrics, the Gauss equation for
+graphs, a pullback through the Jacobian for pushforwards), with g,
+g^-1 and dg.  Every other field of the bundle (Gamma, the pair matrix
+R_I^J, R_ijkl, R_ij^kl, Ricci and R) is built from these when first
+read; the rank-4 fields only then.  No second derivative of g is
 evaluated; a metric without the hook raises ValueError.
 
 L_k, E^(k) and P_(k) share one engine, the double-form route (Labbi,
@@ -33,15 +34,13 @@ All operations are batched over points; a CurvatureBundle holds the
 arrays for one batch, and callers that need several curvature objects
 on the same batch compute it once and pass it on with bund=.
 
-Every einsum here with three or more operands passes optimize=True, so
-numpy contracts it pairwise instead of in one loop nest over all its
-indices (n^8 per point for the Weyl raise).  Every operand carries the
-point index x, so each pairwise step is a matmul batched over points,
-one product of at most n^5 multiply-adds per point.  The flux path has
-no such einsum: R_I^J is one (C(n,2), C(n,2)) matmul per point, and
-the raised d_l g_jm two (n, n) matmuls per point and index j.  No
-result depends on the BLAS thread count (the CLI rerun test compares
-outputs at one and two threads).
+Raising a pair of indices is one (C(n,2), C(n,2)) matmul per point
+with the second exterior power of g^-1: R_I^J, the Weyl norm and P_(k)
+are built that way, and the raised d_l g_jm of the flux vector is two
+(n, n) matmuls per point and index j.  The one einsum here with three
+operands (|Ric|^2) passes optimize=True, so numpy contracts it
+pairwise.  No result depends on the BLAS thread count (the CLI rerun
+test compares outputs at one and two threads).
 """
 
 import math
@@ -52,7 +51,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .multiindex import (lovelock_scalar_table, p_tensor_table,
-                         lovelock_einstein_table)
+                         lovelock_einstein_table, pairs, pair_product,
+                         unpair)
 from . import metrics as _metrics
 
 __all__ = [
@@ -78,18 +78,20 @@ _TERM_BUDGET = 1_000_000
 class CurvatureBundle:
     """Curvature data of one metric on one batch of points.
 
-    riemann fills g, g^-1, dg and R_ijkl; every other field is built from
-    them on first read.  Index layout mirrors the formulas:
-    gamma[..., k, i, j] = Gamma^k_ij, riemann_lo[..., i, j, k, l] = R_ijkl,
-    riemann_mix[..., a, b, c, d] = R_ab^cd, ricci[..., i, k] = R_ik,
-    scalar[...] = R, and pair[..., I, J] = R_I^J, the curvature operator
-    on the pairs i1 < i2, j1 < j2 in lexicographic order.
+    riemann fills g, g^-1, dg and pair_lo[..., I, J] = R_IJ, the
+    curvature on the pairs I = (i1 < i2), J = (j1 < j2) of
+    multiindex.pairs; every other field is built from them on first read.
+    Index layout mirrors the formulas: gamma[..., k, i, j] = Gamma^k_ij,
+    ginv_pairs[..., I, J] = the second exterior power of g^-1,
+    pair[..., I, J] = R_I^J (the curvature operator),
+    riemann_lo[..., i, j, k, l] = R_ijkl, riemann_mix[..., a, b, c, d] =
+    R_ab^cd, ricci[..., i, k] = R_ik and scalar[...] = R.
     """
 
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray
-    riemann_lo: np.ndarray
+    pair_lo: np.ndarray
 
     @cached_property
     def gamma(self):
@@ -101,9 +103,21 @@ class CurvatureBundle:
         return 0.5 * np.einsum('xks,xsij->xkij', self.ginv, U)
 
     @cached_property
+    def ginv_pairs(self):
+        return pair_product(self.ginv, self.ginv)
+
+    @cached_property
+    def pair(self):
+        """R_I^J = R_IE ginv_pairs[E, J], summed over the pairs E."""
+        return self.pair_lo @ self.ginv_pairs
+
+    @cached_property
+    def riemann_lo(self):
+        return unpair(self.pair_lo)
+
+    @cached_property
     def riemann_mix(self):
-        return np.einsum('xijef,xec,xfd->xijcd', self.riemann_lo, self.ginv,
-                         self.ginv, optimize=True)
+        return unpair(self.pair)
 
     @cached_property
     def ricci(self):
@@ -113,22 +127,9 @@ class CurvatureBundle:
     def scalar(self):
         return np.einsum('xik,xik->x', self.ginv, self.ricci)
 
-    @cached_property
-    def pair(self):
-        """R_I^J = R_{I E} Lambda^2(g^-1)[E, J] over the pairs E = (e1 < e2),
-        Lambda^2(g^-1)[E, J] = g^{e1 j1} g^{e2 j2} - g^{e1 j2} g^{e2 j1}:
-        riemann_mix on pairs without the (n, n, n, n) raise."""
-        B, n = self.g.shape[:2]
-        i1, i2 = np.triu_indices(n, 1)
-        flat = i1 * n + i2
-        lo = self.riemann_lo.reshape(B, n * n, n * n)[:, flat[:, None], flat]
-        gi, e1, e2 = self.ginv, i1[:, None], i2[:, None]
-        return lo @ (gi[:, e1, i1] * gi[:, e2, i2]
-                     - gi[:, e1, i2] * gi[:, e2, i1])
-
 
 def riemann(g, x):
-    """Curvature bundle at a batch of points: g, g^-1, dg and R_ijkl from
+    """Curvature bundle at a batch of points: g, g^-1, dg and R_IJ from
     the metric's closed form; the other fields on first read."""
     pts, _ = _metrics._batch(x)
     if g.eval_curvature is None:
@@ -137,7 +138,7 @@ def riemann(g, x):
     gv = g.eval_g(pts)
     dg = g.eval_dg(pts)
     return CurvatureBundle(g=gv, ginv=np.linalg.inv(gv), dg=dg,
-                           riemann_lo=g.eval_curvature(pts))
+                           pair_lo=g.eval_curvature(pts))
 
 
 def _chunks(B, T):
@@ -200,6 +201,12 @@ def lovelock_L(k, g, x, bund=None):
     return out[0] if single else out
 
 
+def _pair_norm_sq(mix):
+    """|T|^2 = T_ij^kl T_kl^ij of a tensor antisymmetric in both index
+    pairs, from its pair matrix T_I^J: each pair counts twice."""
+    return 4.0 * np.einsum('xij,xji->x', mix, mix)
+
+
 def _ricci_norm_sq(bund):
     """|Ric|^2 = R_ij R^ij at each point."""
     ric_up = np.einsum('xia,xab,xbj->xij', bund.ginv, bund.ricci, bund.ginv,
@@ -212,8 +219,8 @@ def gauss_bonnet_L2_direct(g, x, bund=None):
     pts, single = _metrics._batch(x)
     if bund is None:
         bund = riemann(g, pts)
-    norm_rm = np.einsum('xabcd,xcdab->x', bund.riemann_mix, bund.riemann_mix)
-    out = norm_rm - 4.0 * _ricci_norm_sq(bund) + bund.scalar ** 2
+    out = (_pair_norm_sq(bund.pair) - 4.0 * _ricci_norm_sq(bund)
+           + bund.scalar ** 2)
     return out[0] if single else out
 
 
@@ -221,6 +228,17 @@ def p_tensor(g, x, bund=None, *, flux=False):
     """The rank-4 flux tensor P^{ijkl} of the second-order mass: P_(2);
     with flux=True the flux vector P^{ijml} d_l g_jm (p_tensor_general)."""
     return p_tensor_general(2, g, x, bund=bund, flux=flux)
+
+
+@lru_cache(maxsize=None)
+def _pair_rank(n):
+    """rank[i, j] = rank[j, i], the index of the pair {i, j} in
+    multiindex.pairs(n)."""
+    rank = np.zeros((n, n), dtype=np.intp)
+    i1, i2 = pairs(n)
+    rank[i1, i2] = rank[i2, i1] = np.arange(len(i1))
+    rank.flags.writeable = False
+    return rank
 
 
 @lru_cache(maxsize=None)
@@ -239,8 +257,7 @@ def _flux_readoff(n, k):
     and runs holds (i, lo, hi): terms lo..hi-1 sum to Y^i.
     """
     table = p_tensor_table(n, k)
-    rank = np.zeros((n, n), dtype=np.intp)
-    rank[np.triu_indices(n, 1)] = np.arange(math.comb(n, 2))
+    rank = _pair_rank(n)
     s, t, a, b = np.repeat(table.group_index,
                            np.diff(table.group_starts,
                                    append=len(table.index)), axis=0).T
@@ -263,7 +280,7 @@ def _flux_vector(table, bund):
     _flux_readoff), with neither C nor P built."""
     n = table.n
     w_rows, d_rows, runs = _flux_readoff(n, table.k)
-    i1, i2 = np.triu_indices(n, 1)
+    i1, i2 = pairs(n)
     ginv = bund.ginv[:, None]
     H = ginv @ (bund.dg @ ginv)
     D = (H[:, :, i1, i2] - H[:, :, i2, i1]).reshape(len(H), -1).T
@@ -299,14 +316,12 @@ def p_tensor_general(k, g, x, bund=None, *, flux=False):
     if flux:
         Y = _flux_vector(table, bund)
         return Y[0] if single else Y
-    sums = _wedge_sums(table, bund.pair).T
-    C = np.zeros((len(pts), n, n, n, n))
+    # C on pairs, P^{ST, LM} = constant C[S, A] ginv_pairs[A, LM]
+    C = np.zeros(bund.pair.shape)
+    rank = _pair_rank(n)
     s, t, a, b = table.group_index.T
-    C[:, s, t, a, b] = C[:, t, s, b, a] = sums
-    C[:, t, s, a, b] = C[:, s, t, b, a] = -sums
-    ginv = bund.ginv
-    P = table.constant * np.einsum('xstab,xal,xbm->xstlm', C, ginv, ginv,
-                                   optimize=True)
+    C[:, rank[s, t], rank[a, b]] = _wedge_sums(table, bund.pair).T
+    P = unpair(table.constant * (C @ bund.ginv_pairs))
     return P[0] if single else P
 
 
@@ -341,13 +356,12 @@ def weyl_sigma2_split(g, x, bund=None):
     n = g.n
     if bund is None:
         bund = riemann(g, pts)
-    gv, ginv = bund.g, bund.ginv
+    gv = bund.g
     R = bund.scalar
-    schouten = (bund.ricci - (R / (2.0 * (n - 1)))[:, None, None] * gv) / (n - 2)
-    W = bund.riemann_lo - kulkarni_nomizu(schouten, gv)
-    W_hi = np.einsum('xijkl,xia,xjb,xkc,xld->xabcd', W, ginv, ginv, ginv, ginv,
-                     optimize=True)
-    weyl_norm_sq = np.einsum('xijkl,xijkl->x', W, W_hi)
+    S = (bund.ricci - (R / (2.0 * (n - 1)))[:, None, None] * gv) / (n - 2)
+    # W = Rm - S o g (Kulkarni-Nomizu) on pairs, one pair raised
+    W = bund.pair_lo - pair_product(S, gv) - pair_product(gv, S)
+    weyl_norm_sq = _pair_norm_sq(W @ bund.ginv_pairs)
     sigma2 = ((n * R ** 2 / (n - 1) - 4.0 * _ricci_norm_sq(bund))
               / (8.0 * (n - 2) ** 2))
     if single:
@@ -360,10 +374,7 @@ def kulkarni_nomizu(A, B):
 
     (A o B)_ijkl = A_ik B_jl + A_jl B_ik - A_il B_jk - A_jk B_il.
     """
-    return (np.einsum('xik,xjl->xijkl', A, B)
-            + np.einsum('xjl,xik->xijkl', A, B)
-            - np.einsum('xil,xjk->xijkl', A, B)
-            - np.einsum('xjk,xil->xijkl', A, B))
+    return unpair(pair_product(A, B) + pair_product(B, A))
 
 
 def divergence_of_P(k, g, x):

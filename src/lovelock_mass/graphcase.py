@@ -172,7 +172,7 @@ def gaussian_bump_graph(n, centers, amplitudes, widths, name="bumps"):
     def hess(x):
         y, E = _parts(x)
         w2 = widths[None, :] ** 2
-        return (np.einsum('ba,bai,baj->bij', E / w2 ** 2, y, y)
+        return (np.einsum('bai,baj->bij', (E / w2 ** 2)[:, :, None] * y, y)
                 - np.einsum('ba,ij->bij', E / w2, eye))
 
     return GraphFunction(n=n, grad=grad, hess=hess, tau=float("inf"),

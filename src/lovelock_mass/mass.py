@@ -441,7 +441,8 @@ def extrapolate_limit(series):
 
     Fits m + a r^-s first; if that leaves residuals above round-off, a
     saturating power profile is tried as well and the better model wins.
-    A constant series, or a fit with a ~ 0, gives the last value with an
+    A constant series, or a fit whose term a r^-s is ~ 0 on the samples
+    (|a| r_0^-s at the smallest radius r_0), gives the last value with an
     infinite exponent (model "constant").  Every model sets the warning
     flag when its max residual exceeds 1e-6 (1 + max|f|) or the steps
     between neighbouring samples grow; a series on which no power law can
@@ -455,7 +456,7 @@ def extrapolate_limit(series):
                             samples=series, model="constant")
     m_a, a_a, s_a, res_a = _fit_power_law(r, f)
     value, expo, resid, model = float(m_a), float(s_a), res_a, "power-law"
-    if abs(a_a) <= 1e-12 * scale:
+    if abs(a_a) * r[0] ** -s_a <= 1e-12 * scale:
         value, expo, model = float(f[-1]), float("inf"), "constant"
     elif res_a > 1e-9 * scale:
         sat = _fit_saturating(r, f, s_a)

@@ -14,7 +14,8 @@ Evaluators take a point (n,) or a batch (B, n), and raise ValueError on
 more leading axes.  g has shape (..., n, n) and dg (..., n, n, n) with
 the derivative index last (dg[..., i, j, k] = d_k g_ij); ... is () or
 (B,).  Every family gives its curvature in closed form by
-eval_curvature, (B, n) -> R_ijkl of shape (B, n, n, n, n); only the
+eval_curvature, (B, n) -> R_IJ of shape (B, C(n,2), C(n,2)) on the
+index pairs of multiindex.pairs, both pairs lowered; only the
 from_g_only adapter has none.  No metric has a second or third
 derivative evaluator: eval_d2g and eval_d3g are None throughout.
 """
@@ -25,6 +26,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
+
+from .multiindex import pair_product
 
 __all__ = [
     "DomainError",
@@ -115,9 +118,10 @@ class MetricField:
     eval_d2g, eval_d3g : always None; nothing differentiates g twice
     tau : declared decay order of g - delta (TAU_INFINITE for exact flat)
     name : short identifier used in reports
-    eval_curvature : closed form (B, n) -> R_ijkl in the CurvatureBundle
-        layout, the only source of curvature riemann reads; None only
-        for from_g_only, on which riemann raises ValueError
+    eval_curvature : closed form (B, n) -> R_IJ of shape
+        (B, C(n,2), C(n,2)), the CurvatureBundle's pair_lo and the only
+        source of curvature riemann reads; None only for from_g_only, on
+        which riemann raises ValueError
     """
 
     n: int
@@ -379,19 +383,7 @@ def radial_metric(n, a_profile, b_profile, tau, r_min=0.0,
         nu = pts / r[:, None]
         M = (alpha[:, None, None] * eye
              + beta[:, None, None] * nu[:, :, None] * nu[:, None, :])
-        # R_ijkl = d_ik M_jl + d_jl M_ik - d_il M_jk - d_jk M_il (d: delta),
-        # each term added into the n strided (B, n, n) slices where its
-        # delta is 1; at most two terms meet off the all-equal diagonal
-        R = np.zeros((len(pts), n, n, n, n))
-        for i in range(n):
-            R[:, i, :, i, :] += M
-        for i in range(n):
-            R[:, :, i, :, i] += M
-        for i in range(n):
-            R[:, i, :, :, i] -= M
-        for i in range(n):
-            R[:, :, i, i, :] -= M
-        return R
+        return pair_product(eye, M) + pair_product(M, eye)
 
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
                        eval_d2g=None, eval_d3g=None,
@@ -415,10 +407,13 @@ def euclidean(n):
             return _unbatch(np.zeros((len(pts),) + (n,) * extra), single)
         return ev
 
+    def eval_curvature(pts):
+        return np.zeros((len(pts), math.comb(n, 2), math.comb(n, 2)))
+
     return MetricField(n=n, eval_g=eval_g, eval_dg=_zeros(3),
                        eval_d2g=None, eval_d3g=None,
                        tau=TAU_INFINITE, name="euclidean",
-                       eval_curvature=_zeros(4))
+                       eval_curvature=eval_curvature)
 
 
 def schwarzschild_family(k, n, m, chart="conformal"):
@@ -488,7 +483,8 @@ def graph_metric(f):
 
     f must provide batched grad/hess evaluators (see graphcase).  g and
     dg are assembled from them, and so is the curvature, by the Gauss
-    equation with w = 1 + |df|^2: R_ijkl = (f_ik f_jl - f_il f_jk) / w.
+    equation with w = 1 + |df|^2: R_ijkl = (f_ik f_jl - f_il f_jk) / w,
+    the second exterior power of D^2 f over w.
     """
     n = f.n
     eye = np.eye(n)
@@ -512,9 +508,7 @@ def graph_metric(f):
         df = f.grad(pts)
         d2f = f.hess(pts)
         w = 1.0 + np.einsum('xi,xi->x', df, df)
-        # hh[x, i, j, k, l] = f_ik f_jl
-        hh = d2f[:, :, None, :, None] * d2f[:, None, :, None, :]
-        return (hh - hh.swapaxes(3, 4)) / w[:, None, None, None, None]
+        return pair_product(d2f, d2f) / w[:, None, None]
 
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
                        eval_d2g=None, eval_d3g=None,
@@ -684,7 +678,8 @@ def pushforward(g, c):
 
     ghat_ab(xhat) = J^i_a J^j_b g_ij(psi(xhat)); the first derivative is
     assembled by the chain rule, and the curvature pulled back from g's:
-    Rhat_abcd = J^i_a J^j_b J^k_c J^l_d R_ijkl(psi(xhat)).  The declared
+    Rhat_abcd = J^i_a J^j_b J^k_c J^l_d R_ijkl(psi(xhat)), on pairs
+    Rhat = L^T R L with L the second exterior power of J.  The declared
     decay is the slower of g's and the change's.  Each evaluator solves
     for the base point psi(xhat) once and hands it to the Jacobians.
     """
@@ -714,9 +709,8 @@ def pushforward(g, c):
     def eval_curvature(pts):
         base = c.forward(pts)
         J = c.jacobian(base)
-        R = g.eval_curvature(base)
-        return np.einsum('xia,xjb,xkc,xld,xijkl->xabcd', J, J, J, J, R,
-                         optimize=True)
+        L = pair_product(J, J)
+        return L.swapaxes(1, 2) @ g.eval_curvature(base) @ L
 
     return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
                        eval_d2g=None, eval_d3g=None,

@@ -1,9 +1,14 @@
 """Combinatorial kernel for antisymmetrized tensor contractions.
 
-Relative permutation signs and precomputed wedge tables for the
-delta-contracted curvature polynomials.  All public indices are
+Relative permutation signs, index pairs and precomputed wedge tables
+for the delta-contracted curvature polynomials.  All public indices are
 0-based; the classical formulas use 1-based labels, shift by one when
 comparing with a textbook display.
+
+Curvature is a matrix on the pairs I = (i1 < i2) of pairs(n).
+pair_product gives second exterior powers (A = B) and Kulkarni-Nomizu
+products (A o B = pair_product(A, B) + pair_product(B, A)) in that
+form; unpair gives the rank-4 tensor of a pair matrix.
 
 The Gauss-Bonnet curvature L_k, the Lovelock tensor E^(k) and the flux
 tensor P_(k) are one contraction: a generalized delta of order 2q + f
@@ -39,6 +44,9 @@ import numpy as np
 
 __all__ = [
     "relative_sign",
+    "pairs",
+    "pair_product",
+    "unpair",
     "WedgeTable",
     "lovelock_scalar_table",
     "p_tensor_table",
@@ -66,15 +74,43 @@ def relative_sign(src, dst):
     return sign
 
 
+@lru_cache(maxsize=None)
+def pairs(n):
+    """(i1, i2), the pairs i1 < i2 of range(n) in lexicographic order: the
+    one pair order of the package (read-only, as every caller shares it)."""
+    sub = np.ascontiguousarray(_subsets(n, 2).T)
+    sub.flags.writeable = False
+    return tuple(sub)
+
+
+def pair_product(A, B):
+    """out[..., I, J] = A_i1j1 B_i2j2 - A_i1j2 B_i2j1 over the pairs
+    I = (i1 < i2), J = (j1 < j2) of batched (..., n, n) matrices."""
+    i1, i2 = pairs(A.shape[-1])
+    a, b = i1[:, None], i2[:, None]
+    return A[..., a, i1] * B[..., b, i2] - A[..., a, i2] * B[..., b, i1]
+
+
+def unpair(P):
+    """The rank-4 tensor T[..., i, j, k, l] antisymmetric in (i, j) and in
+    (k, l) whose pair matrix is P[..., I, J]."""
+    n = (1 + math.isqrt(1 + 8 * P.shape[-1])) // 2
+    i1, i2 = pairs(n)
+    a, b = i1[:, None], i2[:, None]
+    T = np.zeros(P.shape[:-2] + (n, n, n, n))
+    T[..., a, b, i1, i2] = T[..., b, a, i2, i1] = P
+    T[..., b, a, i1, i2] = T[..., a, b, i2, i1] = -P
+    return T
+
+
 @dataclass(frozen=True)
 class WedgeTable:
     """Wedge-power plan and read-off of one free-index curvature tensor.
 
     R is the pair matrix R_I^J (CurvatureBundle.pair) over the pairs
-    i1 < i2 and j1 < j2 in lexicographic order, flattened over its
-    (I, J) entries, I * C(n,2) + J.  W_p is
-    flattened the same way over its (K, L) entries, K and L the sorted
-    2p-subsets, so W_0 = 1 and W_1 = R.  The table reads W_q, and
+    of pairs(n), flattened over its (I, J) entries, I * C(n,2) + J.  W_p
+    is flattened the same way over its (K, L) entries, K and L the
+    sorted 2p-subsets, so W_0 = 1 and W_1 = R.  The table reads W_q, and
     plan[p - 2] = (r_index, w_index, signs) builds W_p from W_{p-1}:
 
         W_p[:] = sum_t signs[t] * R[r_index[t]] * W_{p-1}[w_index[t]]

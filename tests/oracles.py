@@ -584,10 +584,14 @@ def christoffel_curvature(gv, dg, d2g):
 
 def christoffel_metric(g, eval_d2g):
     """g with its curvature hook replaced by the Christoffel route on
-    the batched second-derivative evaluator eval_d2g."""
+    the batched second-derivative evaluator eval_d2g, R_ijkl read on the
+    index pairs i1 < i2, j1 < j2 in lexicographic order."""
+    i1, i2 = np.triu_indices(g.n, 1)
+
     def eval_curvature(pts):
-        return christoffel_curvature(g.eval_g(pts), g.eval_dg(pts),
-                                     eval_d2g(pts))
+        R = christoffel_curvature(g.eval_g(pts), g.eval_dg(pts),
+                                  eval_d2g(pts))
+        return R[:, i1[:, None], i2[:, None], i1, i2]
 
     return dataclasses.replace(g, eval_curvature=eval_curvature)
 

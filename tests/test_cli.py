@@ -37,9 +37,10 @@ def test_mass_schwarzschild_value(tmp_path, capsys):
 def test_rerun_bit_identical(tmp_path):
     # reruns in fresh interpreters at BLAS thread counts 1 and 2 must write
     # the same bytes; exit 2 (fit warning from the saturating model) is
-    # fine here.  The sigma2 run covers the planned five-operand Weyl raise,
-    # the invariance run the planned pushforward einsums, the penrose run
-    # the Gauss-equation graph curvature and the planned shape operator,
+    # fine here.  The sigma2 run covers the Weyl norm on index pairs, the
+    # invariance run the planned pushforward einsums and the pair-matrix
+    # pullback, the penrose run the Gauss-equation graph curvature and the
+    # planned shape operator,
     # the k = 3 run the wedge-power flux tensor, the EGB run the flux
     # vector beside the first-order density.
     argvs = (["mass", "--metric", "schwarzschild", "--k", "2", "--n", "5",
@@ -99,12 +100,12 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 
 def test_cached_parser_parses_fresh():
-    # main reuses one parser; no flag of one parse may leak into the next
-    assert cli._parser() is cli._parser()
-    first = cli._parser().parse_args(
+    # main reuses the one parser built at import; no flag of one parse may
+    # leak into the next
+    first = cli._PARSER.parse_args(
         ["mass", "--metric", "euclidean", "--n", "7", "--radii", "2,4"])
-    second = cli._parser().parse_args(["mass"])
-    third = cli._parser().parse_args(["verify", "--suite", "sigma2"])
+    second = cli._PARSER.parse_args(["mass"])
+    third = cli._PARSER.parse_args(["verify", "--suite", "sigma2"])
     assert first is not second
     assert (first.metric, first.n, first.radii) == ("euclidean", 7, [2.0, 4.0])
     assert (second.metric, second.n, second.radii) == (None, None, None)
@@ -135,6 +136,19 @@ def test_verify_suite_passes(capsys):
     assert "PASS" in captured.err
     doc = json.loads(captured.out)
     assert doc["checks"][0]["pass"] is True
+
+
+def test_verify_dimension_zero_rejected(tmp_path, capsys):
+    # n = 0 is out of range, from the flag and from the config alike; it
+    # once fell back to the default n = 5 and passed
+    assert run(["verify", "--suite", "hypersurface", "--n", "0"]) == 1
+    assert "error: n must be in [4, 8]" in capsys.readouterr().err
+    cfg = tmp_path / "v.json"
+    cfg.write_text(json.dumps({"suite": "hypersurface", "n": 0}))
+    assert run(["verify", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "error: n must be in [4, 8]" in captured.err
+    assert not captured.out
 
 
 def test_verify_seed_recorded(capsys):

@@ -61,15 +61,28 @@ def test_power_law_basis_underflow_raises():
         massmod.extrapolate_limit(series)
 
 
-def test_constant_fit_with_large_residual_warns():
-    # below unit radius r^-s is large, so the best fit has a ~ 0 and the
-    # series is read as a constant; its residual of 0.1 must still warn
+def test_steep_power_law_with_large_residual_warns():
+    # below unit radius the best fit has a ~ 3.4e-86 but a term a r^-s of
+    # 3.9 at the first radius (s ~ 43), so the series is a power law, not
+    # a constant; its residual of 0.1 must warn
     series = massmod.FluxSeries(radii=0.01 * 2.0 ** np.arange(4),
                                 flux=[5.0, 1.0, 1.2, 1.1], integrand_id="x")
     est = massmod.extrapolate_limit(series)
-    assert est.model == "constant"
+    assert est.model == "power-law"
     assert est.residual > 0.09
     assert est.warning
+
+
+def test_small_radius_power_law_is_not_a_constant():
+    # 2 - 2e-12 / r at radii 1e-12 * 2^j: the coefficient a = -2e-12 is
+    # tiny, but the term it weighs is of order one on the samples
+    series = massmod.FluxSeries(radii=1e-12 * 2.0 ** np.arange(4),
+                                flux=[0.0, 1.0, 1.5, 1.75], integrand_id="x")
+    est = massmod.extrapolate_limit(series)
+    assert est.model == "power-law"
+    assert est.value == pytest.approx(2.0, rel=1e-12)
+    assert est.fit_exponent == pytest.approx(1.0, rel=1e-9)
+    assert not est.warning
 
 
 def test_default_radii_schedule():
@@ -304,11 +317,11 @@ def test_saturating_fit_recovers_schwarzschild_k2_mass():
 
 def test_flux_path_reads_neither_raised_curvature_nor_ricci(monkeypatch):
     # the mass fluxes read P_(k)^{ijml} d_l g_jm off the pair matrix; a
-    # read of R_ij^kl or of the Ricci tensor (and so of R) would raise
+    # read of R_ijkl, R_ij^kl or the Ricci tensor (and so of R) would raise
     def forbidden(self):
-        raise AssertionError("flux path read a raised curvature field")
+        raise AssertionError("flux path read a rank-4 curvature field")
 
-    for name in ("riemann_mix", "ricci"):
+    for name in ("riemann_lo", "riemann_mix", "ricci"):
         monkeypatch.setattr(curvature.CurvatureBundle, name,
                             property(forbidden))
     rule6, rule7 = quadrature.sphere_rule(6, 2), quadrature.sphere_rule(7, 2)

@@ -127,3 +127,34 @@ def test_wedge_plan_starts_from_the_curvature_operator():
                 assert table.q == q
                 steps = max(q - 1, 0) if 2 * q + f <= n else 0
                 assert len(table.plan) == steps, (n, k, f)
+
+
+def test_pair_product_and_unpair():
+    # pair_product(A, A) holds the 2x2 minors of A on the pairs of
+    # pairs(n); pair_product(A, B) + pair_product(B, A) is the
+    # Kulkarni-Nomizu product on pairs; unpair inverts the pair gather
+    from lovelock_mass import curvature
+
+    rng = np.random.default_rng(50)
+    for n in (4, 5, 8):
+        i1, i2 = mi.pairs(n)
+        assert list(zip(i1, i2)) == list(itertools.combinations(range(n), 2))
+        A, B = rng.normal(size=(2, 3, n, n))
+        minors = mi.pair_product(A, A)
+        assert minors.shape == (3, len(i1), len(i1))
+        for I, (a, b) in enumerate(zip(i1, i2)):
+            for J, (c, d) in enumerate(zip(i1, i2)):
+                det = np.linalg.det(A[:, [a, b]][:, :, [c, d]])
+                assert np.abs(minors[:, I, J] - det).max() <= 1e-14 * (
+                    1 + np.abs(det).max())
+        S, T = A + A.swapaxes(1, 2), B + B.swapaxes(1, 2)
+        kn = curvature.kulkarni_nomizu(S, T)
+        on_pairs = mi.pair_product(S, T) + mi.pair_product(T, S)
+        assert np.array_equal(kn[:, i1[:, None], i2[:, None], i1, i2],
+                              on_pairs)
+        P = rng.normal(size=(3, len(i1), len(i1)))
+        R = mi.unpair(P)
+        assert R.shape == (3, n, n, n, n)
+        assert np.array_equal(R[:, i1[:, None], i2[:, None], i1, i2], P)
+        assert np.array_equal(R, -R.transpose(0, 2, 1, 3, 4))
+        assert np.array_equal(R, -R.transpose(0, 1, 2, 4, 3))
