@@ -64,11 +64,16 @@ def _load_config(path):
         return {}
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for sub, allowed in (("metric", _METRIC_KEYS), ("mass", _MASS_KEYS)):
-        extra = set(cfg.get(sub, {})) - allowed
+        section = cfg.get(sub, {})
+        if not isinstance(section, dict):
+            raise ValueError(f"config {sub} must be a JSON object")
+        extra = set(section) - allowed
         if extra:
             raise ValueError(f"unknown {sub} config keys: {sorted(extra)}")
     return cfg
@@ -121,14 +126,17 @@ def _build_graph(mcfg):
 def _build_horizon(hcfg, n):
     if hcfg in (None, "none"):
         return None
+    if not isinstance(hcfg, dict):
+        raise ValueError('config horizon must be a JSON object or "none"')
     kind = hcfg.get("type")
     if kind == "sphere":
         return graphcase.sphere_surface(n, float(hcfg["radius"]))
     if kind == "ellipsoid":
-        axes = [float(a) for a in hcfg["semiaxes"]]
-        if len(axes) != n:
-            raise ValueError(f"horizon needs {n} semiaxes, got {len(axes)}")
-        return graphcase.Ellipsoid(np.array(axes))
+        axes = hcfg["semiaxes"]
+        if not isinstance(axes, list) or len(axes) != n:
+            raise ValueError(f"horizon needs a list of {n} semiaxes, "
+                             f"got {axes!r}")
+        return graphcase.Ellipsoid(np.array([float(a) for a in axes]))
     raise ValueError(f"unknown horizon type {kind!r}")
 
 

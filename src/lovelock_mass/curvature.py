@@ -15,8 +15,9 @@ multiindex.pairs from the metric's closed-form eval_curvature
 (warped-product curvature for radial metrics, the Gauss equation for
 graphs, a pullback through the Jacobian for pushforwards), with g,
 g^-1 and dg.  Every other field of the bundle (Gamma, the pair matrix
-R_I^J, R_ijkl, R_ij^kl, Ricci and R) is built from these when first
-read; the rank-4 fields only then.  No second derivative of g is
+R_I^J, the mixed Ricci tensor and R) is built from these when first
+read, none rank 4: R = L_1 and Ricci, from E^(1) = Ric - (R/2) g, are
+k = 1 read-offs of the engine below.  No second derivative of g is
 evaluated; a metric without the hook raises ValueError.
 
 L_k, E^(k) and P_(k) share one engine, the double-form route (Labbi,
@@ -35,12 +36,12 @@ arrays for one batch, and callers that need several curvature objects
 on the same batch compute it once and pass it on with bund=.
 
 Raising a pair of indices is one (C(n,2), C(n,2)) matmul per point
-with the second exterior power of g^-1: R_I^J, the Weyl norm and P_(k)
-are built that way, and the raised d_l g_jm of the flux vector is two
-(n, n) matmuls per point and index j.  The one einsum here with three
-operands (|Ric|^2) passes optimize=True, so numpy contracts it
-pairwise.  No result depends on the BLAS thread count (the CLI rerun
-test compares outputs at one and two threads).
+with the second exterior power of g^-1: R_I^J and P_(k) are built
+that way, and the raised d_l g_jm of the flux vector is two
+(n, n) matmuls per point and index j.  Squared norms are traces of
+mixed matrices: |Rm|^2 = 4 tr(R_I^J R_J^K), each pair counted twice,
+and |Ric|^2 = tr(R_i^j R_j^k).  No result depends on the BLAS thread
+count (the CLI rerun test compares outputs at one and two threads).
 """
 
 import math
@@ -51,8 +52,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .multiindex import (lovelock_scalar_table, p_tensor_table,
-                         lovelock_einstein_table, pairs, pair_product,
-                         unpair)
+                         lovelock_einstein_table, pairs, pair_rank,
+                         pair_product, unpair)
 from . import metrics as _metrics
 
 __all__ = [
@@ -80,12 +81,12 @@ class CurvatureBundle:
 
     riemann fills g, g^-1, dg and pair_lo[..., I, J] = R_IJ, the
     curvature on the pairs I = (i1 < i2), J = (j1 < j2) of
-    multiindex.pairs; every other field is built from them on first read.
-    Index layout mirrors the formulas: gamma[..., k, i, j] = Gamma^k_ij,
-    ginv_pairs[..., I, J] = the second exterior power of g^-1,
-    pair[..., I, J] = R_I^J (the curvature operator),
-    riemann_lo[..., i, j, k, l] = R_ijkl, riemann_mix[..., a, b, c, d] =
-    R_ab^cd, ricci[..., i, k] = R_ik and scalar[...] = R.
+    multiindex.pairs; every other field is built from them on first read,
+    and none is rank 4.  Index layout mirrors the formulas:
+    gamma[..., k, i, j] = Gamma^k_ij, ginv_pairs[..., I, J] = the second
+    exterior power of g^-1, pair[..., I, J] = R_I^J (the curvature
+    operator), ricci_mix[..., i, k] = R_i^k (lower index first, as in
+    pair) and scalar[...] = R.
     """
 
     g: np.ndarray
@@ -112,20 +113,18 @@ class CurvatureBundle:
         return self.pair_lo @ self.ginv_pairs
 
     @cached_property
-    def riemann_lo(self):
-        return unpair(self.pair_lo)
-
-    @cached_property
-    def riemann_mix(self):
-        return unpair(self.pair)
-
-    @cached_property
-    def ricci(self):
-        return np.einsum('xjl,xijkl->xik', self.ginv, self.riemann_lo)
+    def ricci_mix(self):
+        """R_i^k = (R/2) delta_i^k - D^k_i / 4, D the read-off of
+        E^(1) = Ric - (R/2) g in lovelock_einstein."""
+        table = lovelock_einstein_table(self.g.shape[-1], 1)
+        D = table.constant * _slot_matrix(table, self.pair)
+        return (0.5 * self.scalar[:, None, None] * np.eye(table.n)
+                - D.transpose(0, 2, 1) / 4.0)
 
     @cached_property
     def scalar(self):
-        return np.einsum('xik,xik->x', self.ginv, self.ricci)
+        """R = L_1, twice the trace of pair."""
+        return _lovelock_sum(self.g.shape[-1], 1, self.pair)
 
 
 def riemann(g, x):
@@ -136,8 +135,7 @@ def riemann(g, x):
         raise ValueError(f"{g.name}: metric has no closed-form curvature "
                          "(eval_curvature is None)")
     gv = g.eval_g(pts)
-    dg = g.eval_dg(pts)
-    return CurvatureBundle(g=gv, ginv=np.linalg.inv(gv), dg=dg,
+    return CurvatureBundle(g=gv, ginv=np.linalg.inv(gv), dg=g.eval_dg(pts),
                            pair_lo=g.eval_curvature(pts))
 
 
@@ -182,6 +180,25 @@ def _wedge_sums(table, pair):
     return out
 
 
+def _slot_matrix(table, pair):
+    """out[x, U, L]: the read-off of the table's wedge power of pair[x] in
+    the slot (U, L), U and L its free upper and lower index or the
+    pair_rank of its free index pairs; zero in slots without terms."""
+    slots, size = table.group_index, table.n
+    if slots.shape[1] == 4:  # (s, t, a, b) -> the ranks of (s, t), (a, b)
+        slots = pair_rank(size)[slots[:, ::2], slots[:, 1::2]]
+        size = pair.shape[-1]
+    out = np.zeros((len(pair), size, size))
+    out[:, slots[:, 0], slots[:, 1]] = _wedge_sums(table, pair).T
+    return out
+
+
+def _lovelock_sum(n, k, pair):
+    """L_k of the pair matrices pair[x]: constant times the trace of W_k."""
+    table = lovelock_scalar_table(n, k)
+    return table.constant * _wedge_sums(table, pair)[0]
+
+
 def lovelock_L(k, g, x, bund=None):
     """k-th Gauss-Bonnet curvature L_k; L_1 is the scalar curvature.
 
@@ -196,22 +213,13 @@ def lovelock_L(k, g, x, bund=None):
         return out[0] if single else out
     if bund is None:
         bund = riemann(g, pts)
-    table = lovelock_scalar_table(n, k)
-    out = table.constant * _wedge_sums(table, bund.pair)[0]
+    out = _lovelock_sum(n, k, bund.pair)
     return out[0] if single else out
 
 
-def _pair_norm_sq(mix):
-    """|T|^2 = T_ij^kl T_kl^ij of a tensor antisymmetric in both index
-    pairs, from its pair matrix T_I^J: each pair counts twice."""
-    return 4.0 * np.einsum('xij,xji->x', mix, mix)
-
-
-def _ricci_norm_sq(bund):
-    """|Ric|^2 = R_ij R^ij at each point."""
-    ric_up = np.einsum('xia,xab,xbj->xij', bund.ginv, bund.ricci, bund.ginv,
-                       optimize=True)
-    return np.einsum('xij,xij->x', bund.ricci, ric_up)
+def _trace_sq(mix):
+    """tr(M M) of each mixed matrix M; see the module notes on norms."""
+    return np.einsum('xij,xji->x', mix, mix)
 
 
 def gauss_bonnet_L2_direct(g, x, bund=None):
@@ -219,7 +227,7 @@ def gauss_bonnet_L2_direct(g, x, bund=None):
     pts, single = _metrics._batch(x)
     if bund is None:
         bund = riemann(g, pts)
-    out = (_pair_norm_sq(bund.pair) - 4.0 * _ricci_norm_sq(bund)
+    out = (4.0 * _trace_sq(bund.pair) - 4.0 * _trace_sq(bund.ricci_mix)
            + bund.scalar ** 2)
     return out[0] if single else out
 
@@ -228,17 +236,6 @@ def p_tensor(g, x, bund=None, *, flux=False):
     """The rank-4 flux tensor P^{ijkl} of the second-order mass: P_(2);
     with flux=True the flux vector P^{ijml} d_l g_jm (p_tensor_general)."""
     return p_tensor_general(2, g, x, bund=bund, flux=flux)
-
-
-@lru_cache(maxsize=None)
-def _pair_rank(n):
-    """rank[i, j] = rank[j, i], the index of the pair {i, j} in
-    multiindex.pairs(n)."""
-    rank = np.zeros((n, n), dtype=np.intp)
-    i1, i2 = pairs(n)
-    rank[i1, i2] = rank[i2, i1] = np.arange(len(i1))
-    rank.flags.writeable = False
-    return rank
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +254,7 @@ def _flux_readoff(n, k):
     and runs holds (i, lo, hi): terms lo..hi-1 sum to Y^i.
     """
     table = p_tensor_table(n, k)
-    rank = _pair_rank(n)
+    rank = pair_rank(n)
     s, t, a, b = np.repeat(table.group_index,
                            np.diff(table.group_starts,
                                    append=len(table.index)), axis=0).T
@@ -317,10 +314,7 @@ def p_tensor_general(k, g, x, bund=None, *, flux=False):
         Y = _flux_vector(table, bund)
         return Y[0] if single else Y
     # C on pairs, P^{ST, LM} = constant C[S, A] ginv_pairs[A, LM]
-    C = np.zeros(bund.pair.shape)
-    rank = _pair_rank(n)
-    s, t, a, b = table.group_index.T
-    C[:, rank[s, t], rank[a, b]] = _wedge_sums(table, bund.pair).T
+    C = _slot_matrix(table, bund.pair)
     P = unpair(table.constant * (C @ bund.ginv_pairs))
     return P[0] if single else P
 
@@ -338,9 +332,7 @@ def lovelock_einstein(k, g, x, bund=None):
     if bund is None:
         bund = riemann(g, pts)
     table = lovelock_einstein_table(n, k)
-    D = np.zeros((len(pts), n, n))
-    D[(slice(None),) + tuple(table.group_index.T)] = (
-        table.constant * _wedge_sums(table, bund.pair).T)
+    D = table.constant * _slot_matrix(table, bund.pair)
     E = -(1.0 / 2.0 ** (k + 1)) * np.einsum('xli,xlj->xij', bund.g, D)
     return E[0] if single else E
 
@@ -356,17 +348,16 @@ def weyl_sigma2_split(g, x, bund=None):
     n = g.n
     if bund is None:
         bund = riemann(g, pts)
-    gv = bund.g
+    eye = np.eye(n)
     R = bund.scalar
-    S = (bund.ricci - (R / (2.0 * (n - 1)))[:, None, None] * gv) / (n - 2)
-    # W = Rm - S o g (Kulkarni-Nomizu) on pairs, one pair raised
-    W = bund.pair_lo - pair_product(S, gv) - pair_product(gv, S)
-    weyl_norm_sq = _pair_norm_sq(W @ bund.ginv_pairs)
-    sigma2 = ((n * R ** 2 / (n - 1) - 4.0 * _ricci_norm_sq(bund))
+    # the mixed Schouten tensor S_i^k and W_I^J = R_I^J - (S o delta)_I^J
+    S = (bund.ricci_mix - (R / (2.0 * (n - 1)))[:, None, None] * eye) / (n - 2)
+    W = bund.pair - pair_product(S, eye) - pair_product(eye, S)
+    weyl_norm_sq = 4.0 * _trace_sq(W)
+    sigma2 = ((n * R ** 2 / (n - 1) - 4.0 * _trace_sq(bund.ricci_mix))
               / (8.0 * (n - 2) ** 2))
-    if single:
-        return weyl_norm_sq[0], sigma2[0]
-    return weyl_norm_sq, sigma2
+    return (_metrics._unbatch(weyl_norm_sq, single),
+            _metrics._unbatch(sigma2, single))
 
 
 def kulkarni_nomizu(A, B):

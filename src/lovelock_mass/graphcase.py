@@ -19,6 +19,7 @@ import numpy as np
 
 from . import curvature, mass as _mass, metrics, quadrature
 from .metrics import RadialProfile, sqrt
+from .multiindex import unpair
 
 __all__ = [
     "GraphFunction",
@@ -234,12 +235,12 @@ def quadratic_graph(n, H, v=None, name="quadratic"):
 
 def graph_L2(f, x):
     """L_2 on a graph as P^{ijkl} R_ijkl, with R_ijkl = (f_ik f_jl -
-    f_il f_jk) / (1 + |df|^2) from the graph metric's curvature hook."""
+    f_il f_jk) / (1 + |df|^2), the graph metric's curvature unpaired."""
     pts, single = metrics._batch(x)
     g = f.metric
     bund = curvature.riemann(g, pts)
     P = curvature.p_tensor(g, pts, bund=bund)
-    out = np.einsum('xijkl,xijkl->x', P, bund.riemann_lo)
+    out = np.einsum('xijkl,xijkl->x', P, unpair(bund.pair_lo))
     return metrics._unbatch(out, single)
 
 

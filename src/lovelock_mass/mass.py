@@ -46,8 +46,8 @@ __all__ = [
 ]
 
 # curvature bundles per chunk of this many sphere nodes: the GBC flux on
-# 8192 nodes at n = 6 took 0.17 s in 512-node chunks, 0.31 s in
-# 2048-node ones (one BLAS thread; R_ijkl alone is 5 MB per 512 nodes)
+# 8192 nodes at n = 6 took 0.17 s in 512-node chunks and 0.31 s in
+# 2048-node ones, with one BLAS thread
 _CHUNK = 512
 _KINDS = ("adm", "gbc", "mk", "egb")
 _EPS = np.finfo(float).eps

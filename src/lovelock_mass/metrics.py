@@ -401,16 +401,14 @@ def euclidean(n):
         pts, single = _batch(x)
         return _unbatch(np.broadcast_to(eye, (len(pts), n, n)).copy(), single)
 
-    def _zeros(extra):
-        def ev(x):
-            pts, single = _batch(x)
-            return _unbatch(np.zeros((len(pts),) + (n,) * extra), single)
-        return ev
+    def eval_dg(x):
+        pts, single = _batch(x)
+        return _unbatch(np.zeros((len(pts), n, n, n)), single)
 
     def eval_curvature(pts):
         return np.zeros((len(pts), math.comb(n, 2), math.comb(n, 2)))
 
-    return MetricField(n=n, eval_g=eval_g, eval_dg=_zeros(3),
+    return MetricField(n=n, eval_g=eval_g, eval_dg=eval_dg,
                        eval_d2g=None, eval_d3g=None,
                        tau=TAU_INFINITE, name="euclidean",
                        eval_curvature=eval_curvature)

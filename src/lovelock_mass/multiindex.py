@@ -8,7 +8,8 @@ comparing with a textbook display.
 Curvature is a matrix on the pairs I = (i1 < i2) of pairs(n).
 pair_product gives second exterior powers (A = B) and Kulkarni-Nomizu
 products (A o B = pair_product(A, B) + pair_product(B, A)) in that
-form; unpair gives the rank-4 tensor of a pair matrix.
+form; pair_rank gives the position of a pair in that order, and unpair
+gives the rank-4 tensor of a pair matrix.
 
 The Gauss-Bonnet curvature L_k, the Lovelock tensor E^(k) and the flux
 tensor P_(k) are one contraction: a generalized delta of order 2q + f
@@ -45,6 +46,7 @@ import numpy as np
 __all__ = [
     "relative_sign",
     "pairs",
+    "pair_rank",
     "pair_product",
     "unpair",
     "WedgeTable",
@@ -60,18 +62,8 @@ def relative_sign(src, dst):
     Both tuples must contain the same distinct elements.
     """
     idx = [src.index(v) for v in dst]
-    sign, seen = 1, [False] * len(idx)
-    for i in range(len(idx)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = idx[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
+    inversions = sum(a > b for i, a in enumerate(idx) for b in idx[i + 1:])
+    return -1 if inversions % 2 else 1
 
 
 @lru_cache(maxsize=None)
@@ -81,6 +73,16 @@ def pairs(n):
     sub = np.ascontiguousarray(_subsets(n, 2).T)
     sub.flags.writeable = False
     return tuple(sub)
+
+
+@lru_cache(maxsize=None)
+def pair_rank(n):
+    """rank[i, j] = rank[j, i], the index of the pair {i, j} in pairs(n)."""
+    rank = np.zeros((n, n), dtype=np.intp)
+    i1, i2 = pairs(n)
+    rank[i1, i2] = rank[i2, i1] = np.arange(len(i1))
+    rank.flags.writeable = False
+    return rank
 
 
 def pair_product(A, B):

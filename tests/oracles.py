@@ -13,7 +13,9 @@ such an expression symbolically and evaluates it with 50 digits: the
 reference for the library's second-order jets.
 
 p_tensor_closed_form is the Ricci-form closed formula for P_(2) on the
-library's curvature bundle, the reference for the delta-table tensor.
+library's curvature bundle, the reference for the delta-table tensor;
+it reads Ricci from ricci_lowered, the contraction g^{jl} R_ijkl of the
+rank-4 tensor, which is the reference for the bundle's Ricci read-off.
 christoffel_curvature is the library's former curvature route: R_ijkl
 by differentiating the Christoffel symbols, from g, dg and d2g.
 christoffel_metric swaps a metric's closed-form curvature for it, given
@@ -29,7 +31,8 @@ ascending block orderings, sharing only the permutation signs with the
 library.  The gather engine at the end is the library's former L_k,
 P_(k) and E^(k) engine, the reference for the wedge-power one:
 delta-contraction term tables, each term gathered factor by factor out
-of riemann_mix and summed per slot.
+of the rank-4 R_ab^cd (multiindex.unpair of the pair matrix) and
+summed per slot.
 """
 
 import dataclasses
@@ -44,7 +47,7 @@ import numpy as np
 import sympy as sp
 
 from lovelock_mass import graphcase, metrics
-from lovelock_mass.multiindex import relative_sign
+from lovelock_mass.multiindex import relative_sign, unpair
 
 _MAX_BRUTE_ORDER = 5
 
@@ -539,16 +542,24 @@ def parametric_surface_integrals(surface, functional, nodes_polar=16,
 # closed-form second-order flux tensor
 
 
+def ricci_lowered(bund):
+    """(R_ik, R): R_ik = g^{jl} R_ijkl and R = g^{ik} R_ik, contracted
+    from the rank-4 R_ijkl of a curvature bundle."""
+    ric = np.einsum('xjl,xijkl->xik', bund.ginv, unpair(bund.pair_lo))
+    return ric, np.einsum('xik,xik->x', bund.ginv, ric)
+
+
 def p_tensor_closed_form(bund):
     """P^{ijkl} = R^{ijkl} + R^{jk} g^{il} - R^{jl} g^{ik} - R^{ik} g^{jl}
     + R^{il} g^{jk} + (R/2)(g^{ik} g^{jl} - g^{il} g^{jk})
-    on a curvature bundle, indices raised here from riemann_lo and ricci."""
+    on a curvature bundle, indices raised here from R_ijkl and
+    ricci_lowered."""
     ginv = bund.ginv
-    rm_up = np.einsum('xabcd,xai,xbj,xck,xdl->xijkl', bund.riemann_lo,
+    rm_up = np.einsum('xabcd,xai,xbj,xck,xdl->xijkl', unpair(bund.pair_lo),
                       ginv, ginv, ginv, ginv, optimize=True)
-    ric_up = np.einsum('xia,xab,xbj->xij', ginv, bund.ricci, ginv,
+    ricci, R = ricci_lowered(bund)
+    ric_up = np.einsum('xia,xab,xbj->xij', ginv, ricci, ginv,
                        optimize=True)
-    R = bund.scalar
     return (rm_up
             + np.einsum('xjk,xil->xijkl', ric_up, ginv)
             - np.einsum('xjl,xik->xijkl', ric_up, ginv)
@@ -976,7 +987,7 @@ def slot_sums(table, rmix):
 
 def gather_p_tensor(table, bund):
     """P_(k)^{stlm} from a gather table of C with s < t slots."""
-    C = slot_sums(table, bund.riemann_mix)
+    C = slot_sums(table, unpair(bund.pair))
     C = C - C.transpose(0, 2, 1, 3, 4)
     return table.constant * np.einsum('xstab,xal,xbm->xstlm', C, bund.ginv,
                                       bund.ginv)
@@ -984,5 +995,5 @@ def gather_p_tensor(table, bund):
 
 def gather_einstein(table, bund):
     """E^(k)_ij from a gather table of D."""
-    D = table.constant * slot_sums(table, bund.riemann_mix)
+    D = table.constant * slot_sums(table, unpair(bund.pair))
     return -(1.0 / 2.0 ** (table.k + 1)) * np.einsum('xli,xlj->xij', bund.g, D)

@@ -7,6 +7,7 @@ line (visible with -s or in captured output on failure).
 import numpy as np
 
 import oracles
+from lovelock_mass.multiindex import unpair
 from lovelock_mass import (curvature, graphcase, mass as massmod, metrics,
                            quadrature)
 
@@ -97,7 +98,7 @@ def test_criterion_05_identity_suites():
                                - float(curvature.lovelock_L(2, g, p))) / scale)
 
     bund = curvature.riemann(g, pts)
-    rm = bund.riemann_lo
+    rm = unpair(bund.pair_lo)
     rs = 1.0 + float(np.abs(rm).max())
     sym = max(
         float(np.abs(rm + rm.transpose(0, 2, 1, 3, 4)).max()),

@@ -99,6 +99,27 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("mass", [{"metric": {"family": "euclidean", "n": 5}}],
+     "config must be a JSON object"),
+    ("mass", {"metric": "schwarzschild"},
+     "config metric must be a JSON object"),
+    ("mass", {"metric": {"family": "euclidean", "n": 5}, "mass": [20, 40]},
+     "config mass must be a JSON object"),
+    ("penrose", {"metric": {"family": "none", "n": 5}, "horizon": "sphere"},
+     'config horizon must be a JSON object or "none"'),
+    ("penrose", {"metric": {"family": "none", "n": 5},
+                 "horizon": {"type": "ellipsoid", "semiaxes": 5}},
+     "horizon needs a list of 5 semiaxes, got 5"),
+], ids=["top-level", "metric", "mass", "horizon", "semiaxes"])
+def test_config_shapes_rejected(tmp_path, capsys, command, doc, message):
+    # a section of the wrong JSON type is a plain error, not a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cached_parser_parses_fresh():
     # main reuses the one parser built at import; no flag of one parse may
     # leak into the next

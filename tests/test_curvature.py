@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lovelock_mass import curvature, graphcase, metrics
+from lovelock_mass import (curvature, graphcase, mass as massmod, metrics,
+                           quadrature)
+from lovelock_mass.multiindex import unpair
 
 import oracles
 
@@ -27,8 +29,8 @@ def test_flat_bundle_vanishes():
     x = np.array([[1.0, 2.0, -1.0, 0.5, 0.3]])
     bund = curvature.riemann(g, x)
     assert not bund.gamma.any()
-    assert not bund.riemann_lo.any()
-    assert not bund.ricci.any()
+    assert not bund.pair_lo.any()
+    assert not bund.ricci_mix.any()
     assert not bund.scalar.any()
     assert not curvature.p_tensor(g, x).any()
     assert not curvature.lovelock_einstein(2, g, x).any()
@@ -70,23 +72,31 @@ def test_graph_gauss_equation_matches_christoffel_route():
             assert f.metric.eval_curvature is not None
             fast = curvature.riemann(f.metric, pts)
             ref = curvature.riemann(oracles.christoffel_graph_metric(f), pts)
-            for field in ("g", "ginv", "dg", "gamma", "riemann_lo",
-                          "riemann_mix", "ricci", "scalar"):
-                a, b = getattr(fast, field), getattr(ref, field)
+            for field in _BUNDLE_FIELDS:
+                a, b = _field(fast, field), _field(ref, field)
                 scale = np.abs(b).max()
                 assert scale > 0, (n, field)
                 assert np.abs(a - b).max() <= tol * scale, (n, f.name, field)
 
 
+# the bundle's fields and the tensors built from them: R_ijkl, R_ij^kl and
+# the lowered Ricci tensor R_ik
+_TENSORS = {"riemann_lo": lambda b: unpair(b.pair_lo),
+            "riemann_mix": lambda b: unpair(b.pair),
+            "ricci": lambda b: b.ricci_mix @ b.g}
 _BUNDLE_FIELDS = ("g", "ginv", "dg", "gamma", "riemann_lo", "riemann_mix",
                   "ricci", "scalar")
+
+
+def _field(bund, name):
+    return _TENSORS[name](bund) if name in _TENSORS else getattr(bund, name)
 
 
 def _pointwise_gap(a, b):
     """Largest |a - b| of each bundle field at each point over the size
     of b's R_ijkl there."""
-    scale = np.abs(b.riemann_lo).reshape(len(b.g), -1).max(axis=1)
-    return {field: float((np.abs(getattr(a, field) - getattr(b, field))
+    scale = np.abs(b.pair_lo).reshape(len(b.g), -1).max(axis=1)
+    return {field: float((np.abs(_field(a, field) - _field(b, field))
                           .reshape(len(scale), -1).max(axis=1) / scale).max())
             for field in _BUNDLE_FIELDS}
 
@@ -124,7 +134,7 @@ def test_closed_form_curvature_matches_christoffel_route():
         ref = curvature.riemann(
             oracles.christoffel_metric(ghat, oracles.fd_d2g(ghat)), near)
         for field in _BUNDLE_FIELDS:
-            a, b = getattr(fast, field), getattr(ref, field)
+            a, b = _field(fast, field), _field(ref, field)
             assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max(), (n, field)
         # a rotation moves every bundle field by Q on each index; a
         # transposed Jacobian in the pullback would not
@@ -136,7 +146,7 @@ def test_closed_form_curvature_matches_christoffel_route():
             metrics.pushforward(f.metric, metrics.rotation_change(Q)), xhat)
         moved = curvature.riemann(f.metric, xhat @ Q.T)
         for field in _BUNDLE_FIELDS:
-            a, b = getattr(rot, field), _rotate(getattr(moved, field), Q)
+            a, b = _field(rot, field), _rotate(_field(moved, field), Q)
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (n, field)
 
 
@@ -160,7 +170,7 @@ def test_riemann_symmetries_and_bianchi():
     rng = np.random.default_rng(22)
     for g in (_conformal(), _bump_graph().metric):
         pts = _points(rng, 5, 20)
-        rm = curvature.riemann(g, pts).riemann_lo
+        rm = unpair(curvature.riemann(g, pts).pair_lo)
         scale = np.abs(rm).max() + 1e-30
         assert np.abs(rm + rm.transpose(0, 2, 1, 3, 4)).max() / scale < 1e-9
         assert np.abs(rm + rm.transpose(0, 1, 2, 4, 3)).max() / scale < 1e-9
@@ -181,7 +191,7 @@ def test_graph_riemann_closed_form():
     w = 1.0 + np.einsum('xi,xi->x', df, df)
     expected = (np.einsum('xik,xjl->xijkl', hess, hess)
                 - np.einsum('xil,xjk->xijkl', hess, hess)) / w[:, None, None, None, None]
-    assert np.abs(bund.riemann_lo - expected).max() < 1e-9
+    assert np.abs(unpair(bund.pair_lo) - expected).max() < 1e-9
 
 
 def test_paraboloid_origin_values():
@@ -194,7 +204,7 @@ def test_paraboloid_origin_values():
     eye = np.eye(n)
     expected = (np.einsum('ik,jl->ijkl', eye, eye)
                 - np.einsum('il,jk->ijkl', eye, eye))
-    assert np.abs(bund.riemann_lo[0] - expected).max() < 1e-12
+    assert np.abs(unpair(bund.pair_lo)[0] - expected).max() < 1e-12
     assert float(bund.scalar[0]) == pytest.approx(20.0, abs=1e-10)
     assert float(curvature.lovelock_L(2, f.metric, x, bund=bund)[0]) == \
         pytest.approx(120.0, abs=1e-8)
@@ -212,7 +222,7 @@ def test_three_way_l2_agreement():
         a = curvature.lovelock_L(2, g, pts, bund=bund)
         b = curvature.gauss_bonnet_L2_direct(g, pts, bund=bund)
         P = curvature.p_tensor(g, pts, bund=bund)
-        c = np.einsum('xijkl,xijkl->x', P, bund.riemann_lo)
+        c = np.einsum('xijkl,xijkl->x', P, unpair(bund.pair_lo))
         scale = 1.0 + np.abs(a).max()
         assert np.abs(a - b).max() / scale < 1e-9
         assert np.abs(a - c).max() / scale < 1e-9
@@ -228,8 +238,11 @@ def test_l1_is_scalar_curvature():
     rng = np.random.default_rng(25)
     pts = _points(rng, 5, 10)
     bund = curvature.riemann(g, pts)
-    assert np.abs(curvature.lovelock_L(1, g, pts, bund=bund)
-                  - bund.scalar).max() < 1e-12
+    # one definition: R is the k = 1 read-off of lovelock_L
+    assert np.array_equal(curvature.lovelock_L(1, g, pts, bund=bund),
+                          bund.scalar)
+    _, R = oracles.ricci_lowered(bund)
+    assert np.abs(bund.scalar - R).max() < 1e-12
 
 
 def test_lovelock_l_euler_density_guard():
@@ -271,7 +284,7 @@ def test_p_tensor_general_reductions():
                       - np.einsum('xil,xjk->xijkl', bund.ginv, bund.ginv))
     assert np.abs(P1 - expected).max() < 1e-12
     lk = curvature.lovelock_L(1, g, pts, bund=bund)
-    contracted = np.einsum('xijkl,xijkl->x', P1, bund.riemann_lo)
+    contracted = np.einsum('xijkl,xijkl->x', P1, unpair(bund.pair_lo))
     assert np.abs(contracted - lk).max() < 1e-9 * (1 + np.abs(lk).max())
     # flat P_(1)^{1212} = 1/2
     flat = metrics.euclidean(5)
@@ -291,7 +304,7 @@ def test_p_tensor_general_reductions():
         assert np.abs(P2 - Pc).max() < 1e-12 * scale
         assert np.array_equal(curvature.p_tensor(g, pts, bund=bund), P2)
         lk = curvature.lovelock_L(2, g, pts, bund=bund)
-        contracted = np.einsum('xijkl,xijkl->x', P2, bund.riemann_lo)
+        contracted = np.einsum('xijkl,xijkl->x', P2, unpair(bund.pair_lo))
         assert np.abs(contracted - lk).max() < 1e-9 * (1 + np.abs(lk).max())
 
 
@@ -337,18 +350,58 @@ def test_flux_vector_matches_full_p_contraction():
 
 
 def test_pair_is_riemann_mix_on_pairs():
-    # R_I^J from R_ijkl and the second exterior power of g^-1
+    # R_I^J from R_ijkl and the second exterior power of g^-1, against
+    # R_ij^kl raised index by index
     rng = np.random.default_rng(41)
     for n in (5, 6, 7, 8):
         i1, i2 = np.triu_indices(n, 1)
         pts = _shell_points(rng, n, 12, 2.5, 9.0)
         for g in _flux_families(n, rng)[:-1]:
             bund = curvature.riemann(g, pts)
-            ref = bund.riemann_mix[:, i1[:, None], i2[:, None],
-                                   i1[None, :], i2[None, :]]
+            rmix = np.einsum('xijab,xak,xbl->xijkl', unpair(bund.pair_lo),
+                             bund.ginv, bund.ginv, optimize=True)
+            ref = rmix[:, i1[:, None], i2[:, None], i1[None, :], i2[None, :]]
             assert bund.pair.shape == (len(pts), len(i1), len(i1))
             assert np.abs(bund.pair - ref).max() <= 1e-13 * np.abs(ref).max(), \
                 (n, g.name)
+
+
+def test_ricci_and_scalar_match_rank4_contraction():
+    # the k = 1 read-offs R_i^k and R against g^{jl} R_ijkl and its trace
+    rng = np.random.default_rng(42)
+    for n in (5, 6, 7, 8):
+        pts = _shell_points(rng, n, 12, 2.5, 9.0)
+        for g in _flux_families(n, rng)[:-1]:
+            bund = curvature.riemann(g, pts)
+            ricci, R = oracles.ricci_lowered(bund)
+            scale = np.abs(bund.pair_lo).max()
+            assert np.abs(bund.ricci_mix @ bund.g - ricci).max() \
+                <= 1e-13 * scale, (n, g.name)
+            assert np.abs(bund.scalar - R).max() <= 1e-13 * scale, (n, g.name)
+
+
+def test_curvature_reads_build_no_rank4_tensor(monkeypatch):
+    # Ricci, R, the curvature scalars and the mass flux read the pair
+    # matrices: a rank-4 tensor built on the way would raise
+    def forbidden(P):
+        raise AssertionError("built a rank-4 tensor")
+
+    monkeypatch.setattr(curvature, "unpair", forbidden)
+    rng = np.random.default_rng(43)
+    for n in (5, 6):
+        g = _bump_graph(n).metric
+        pts = _points(rng, n, 6)
+        bund = curvature.riemann(g, pts)
+        assert bund.ricci_mix.shape == (len(pts), n, n)
+        assert np.isfinite(bund.scalar).all()
+        w2, s2 = curvature.weyl_sigma2_split(g, pts, bund=bund)
+        L2 = curvature.gauss_bonnet_L2_direct(g, pts, bund=bund)
+        assert np.isfinite([w2, s2, L2]).all()
+        assert np.isfinite(curvature.lovelock_L(2, g, pts, bund=bund)).all()
+    rule = quadrature.sphere_rule(6, 2)
+    gbc = massmod.flux("gbc", metrics.schwarzschild_family(2, 6, 1.0), 20.0,
+                       rule)
+    assert np.isfinite(gbc) and gbc > 0
 
 
 def test_flux_vector_vanishes_with_warning_for_2k_above_n():
@@ -368,7 +421,8 @@ def test_lovelock_einstein_identities():
     pts = _points(rng, 5, 10)
     bund = curvature.riemann(g, pts)
     E1 = curvature.lovelock_einstein(1, g, pts, bund=bund)
-    expected = bund.ricci - 0.5 * bund.scalar[:, None, None] * bund.g
+    ricci, R = oracles.ricci_lowered(bund)
+    expected = ricci - 0.5 * R[:, None, None] * bund.g
     assert np.abs(E1 - expected).max() < 1e-10
     E2 = curvature.lovelock_einstein(2, g, pts, bund=bund)
     assert np.abs(E2 - E2.transpose(0, 2, 1)).max() < 1e-10
@@ -385,16 +439,17 @@ def test_lanczos_expanded_form():
     rng = np.random.default_rng(30)
     pts = _points(rng, 5, 8)
     bund = curvature.riemann(g, pts)
-    ric_up = np.einsum('xia,xab,xjb->xij', bund.ginv, bund.ricci, bund.ginv)
-    rm = bund.riemann_lo
+    ricci = bund.ricci_mix @ bund.g
+    ric_up = np.einsum('xia,xab,xjb->xij', bund.ginv, ricci, bund.ginv)
+    rm = unpair(bund.pair_lo)
     rm_up = np.einsum('xabcd,xai,xbj,xck,xdl->xijkl', rm, bund.ginv,
                       bund.ginv, bund.ginv, bund.ginv)
     L2 = curvature.lovelock_L(2, g, pts, bund=bund)
     R = bund.scalar
-    term1 = 2.0 * R[:, None, None] * bund.ricci
+    term1 = 2.0 * R[:, None, None] * ricci
     term2 = -4.0 * np.einsum('xis,xsj->xij',
-                             np.einsum('xia,xas->xis', bund.ricci, bund.ginv),
-                             bund.ricci)
+                             np.einsum('xia,xas->xis', ricci, bund.ginv),
+                             ricci)
     term3 = -4.0 * np.einsum('xab,xaibj->xij', ric_up, rm)
     term4 = 2.0 * np.einsum('xiabc,xjabc->xij', rm,
                             np.einsum('xjdef,xda,xeb,xfc->xjabc', rm,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lovelock_mass import curvature, graphcase, mass as massmod, metrics, quadrature
+from lovelock_mass.multiindex import unpair
 
 
 def test_elementary_symmetric_umbilic_values():
@@ -181,7 +182,7 @@ def test_level_set_gauss_equation_scaling():
     rv = 8.0
     x = np.zeros((1, n))
     x[0, 0] = rv
-    rm = curvature.riemann(f.metric, x).riemann_lo[0]
+    rm = unpair(curvature.riemann(f.metric, x).pair_lo)[0]
     fr = float(slope(rv))
     factor = fr ** 2 / (1.0 + fr ** 2)
     for a in range(1, n):

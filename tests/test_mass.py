@@ -317,11 +317,13 @@ def test_saturating_fit_recovers_schwarzschild_k2_mass():
 
 def test_flux_path_reads_neither_raised_curvature_nor_ricci(monkeypatch):
     # the mass fluxes read P_(k)^{ijml} d_l g_jm off the pair matrix; a
-    # read of R_ijkl, R_ij^kl or the Ricci tensor (and so of R) would raise
-    def forbidden(self):
-        raise AssertionError("flux path read a rank-4 curvature field")
+    # rank-4 tensor (R_ijkl, R_ij^kl or the full P) or a read of the Ricci
+    # tensor or R would raise
+    def forbidden(*args):
+        raise AssertionError("flux path read a curvature field it does not need")
 
-    for name in ("riemann_lo", "riemann_mix", "ricci"):
+    monkeypatch.setattr(curvature, "unpair", forbidden)
+    for name in ("ricci_mix", "scalar"):
         monkeypatch.setattr(curvature.CurvatureBundle, name,
                             property(forbidden))
     rule6, rule7 = quadrature.sphere_rule(6, 2), quadrature.sphere_rule(7, 2)

@@ -27,7 +27,7 @@ def test_scalar_table_matches_raw_delta_contraction():
                                       [0.6, -0.5], [1.3, 1.8])
     x = rng.normal(size=(1, n))
     bund = curvature.riemann(f.metric, x)
-    rmix = np.einsum('xijab,xak,xbl->xijkl', bund.riemann_lo,
+    rmix = np.einsum('xijab,xak,xbl->xijkl', mi.unpair(bund.pair_lo),
                      bund.ginv, bund.ginv)[0]  # R_ab^cd
     for k in (1, 2):
         raw = 0.0
@@ -98,7 +98,7 @@ def test_term_tables_match_reference_builders():
             g, x, bund = _bump_bundle(n, 4, n)
             L = curvature.lovelock_L(k, g, x, bund=bund)
             L_ref = ref.constant * oracles.gathered_products(
-                ref, bund.riemann_mix).sum(axis=1)
+                ref, mi.unpair(bund.pair)).sum(axis=1)
             assert np.abs(L - L_ref).max() <= 1e-12 * np.abs(L_ref).max(), (n, k)
             _assert_engine_matches(n, k, oracles.p_tensor_table(n, k),
                                    oracles.lovelock_einstein_table(n, k),

@@ -29,3 +29,43 @@ def test_multi_operand_einsums_are_planned():
                 unplanned.append(f"{path.name}:{call.lineno}")
     assert total, "no multi-operand einsum found; is the scan broken?"
     assert not unplanned, unplanned
+
+
+# the one place each builds a rank-4 tensor from a pair matrix: the full
+# P_(k), the Kulkarni-Nomizu product and the graph's P . R_ijkl
+_UNPAIR_CALLERS = {("curvature.py", "p_tensor_general"),
+                   ("curvature.py", "kulkarni_nomizu"),
+                   ("graphcase.py", "graph_L2")}
+
+
+def _unpair_callers(tree):
+    """(outermost enclosing function or None, line) of each unpair call."""
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = func or child.name
+            else:
+                inner = func
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                    f, "id", None)
+                if name == "unpair":
+                    yield inner, child.lineno
+            yield from visit(child, inner)
+
+    yield from visit(tree, None)
+
+
+def test_rank4_tensors_built_only_where_read():
+    # the bundle and the flux path stay on pair matrices: a call of
+    # multiindex.unpair anywhere else brings a rank-4 tensor back
+    stray, found = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for func, line in _unpair_callers(ast.parse(path.read_text())):
+            if (path.name, func) in _UNPAIR_CALLERS:
+                found.add((path.name, func))
+            else:
+                stray.append(f"{path.name}:{line} in {func}")
+    assert not stray, stray
+    assert found == _UNPAIR_CALLERS, "a known caller is missing; scan broken?"
