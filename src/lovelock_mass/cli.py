@@ -59,6 +59,20 @@ def _thread_cap():
               "threadpoolctl is not installed", file=sys.stderr)
 
 
+def _number(value, name, integer=False, low=None):
+    """A config or flag number as float (int when integer).  What float()
+    and int() would turn into a traceback or truncate in silence is an
+    error: a non-number, a bool, a fractional integer, a value below low."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if integer and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value) if integer else float(value)
+    if low is not None and not value >= low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return value
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -83,7 +97,7 @@ def _build_metric(mcfg):
     family = mcfg.get("family")
     if family is None:
         raise ValueError("metric.family is required")
-    n = int(mcfg.get("n", 0))
+    n = _number(mcfg.get("n", 0), "metric.n", integer=True)
     if n < 4:
         raise ValueError("metric.n must be an integer >= 4")
     if n > _MAX_DIMENSION:
@@ -93,13 +107,14 @@ def _build_metric(mcfg):
     if family == "euclidean":
         return metrics.euclidean(n)
     if family == "schwarzschild":
-        k = int(mcfg.get("k", 2))
-        m = float(mcfg.get("m", 1.0))
+        k = _number(mcfg.get("k", 2), "metric.k", integer=True)
+        m = _number(mcfg.get("m", 1.0), "metric.m")
         chart = mcfg.get("chart", "conformal")
         return metrics.schwarzschild_family(k, n, m, chart=chart)
     if family == "egb":
-        return metrics.egb_blackhole(n, float(mcfg.get("alpha", 0.0)),
-                                     float(mcfg.get("m", 1.0)))
+        return metrics.egb_blackhole(n, _number(mcfg.get("alpha", 0.0),
+                                                "metric.alpha"),
+                                     _number(mcfg.get("m", 1.0), "metric.m"))
     if family == "conformal-radial":
         expr = mcfg.get("u")
         if expr is None:
@@ -109,15 +124,16 @@ def _build_metric(mcfg):
     raise ValueError(f"unknown metric.family {family!r}")
 
 
-def _build_graph(mcfg):
+def _build_graph(mcfg, n):
     family = mcfg.get("family")
-    n = int(mcfg.get("n", 0))
     if family == "schwarzschild-graph":
-        return graphcase.schwarzschild_graph(n, float(mcfg.get("m", 1.0)),
-                                             k=int(mcfg.get("k", 2)))
+        return graphcase.schwarzschild_graph(
+            n, _number(mcfg.get("m", 1.0), "metric.m"),
+            k=_number(mcfg.get("k", 2), "metric.k", integer=True))
     if family == "egb-graph":
-        return graphcase.egb_graph(n, float(mcfg.get("alpha", 0.0)),
-                                   float(mcfg.get("m", 1.0)))
+        return graphcase.egb_graph(n, _number(mcfg.get("alpha", 0.0),
+                                              "metric.alpha"),
+                                   _number(mcfg.get("m", 1.0), "metric.m"))
     if family in (None, "none"):
         return None
     raise ValueError(f"unknown graph family {family!r}")
@@ -130,13 +146,15 @@ def _build_horizon(hcfg, n):
         raise ValueError('config horizon must be a JSON object or "none"')
     kind = hcfg.get("type")
     if kind == "sphere":
-        return graphcase.sphere_surface(n, float(hcfg["radius"]))
+        return graphcase.sphere_surface(
+            n, _number(hcfg["radius"], "horizon.radius"))
     if kind == "ellipsoid":
         axes = hcfg["semiaxes"]
         if not isinstance(axes, list) or len(axes) != n:
             raise ValueError(f"horizon needs a list of {n} semiaxes, "
                              f"got {axes!r}")
-        return graphcase.Ellipsoid(np.array([float(a) for a in axes]))
+        return graphcase.Ellipsoid(np.array(
+            [_number(a, "horizon.semiaxes") for a in axes]))
     raise ValueError(f"unknown horizon type {kind!r}")
 
 
@@ -144,9 +162,12 @@ def _radii(mass_cfg):
     """Configured radii or schedule, checked before any flux is integrated."""
     radii = mass_cfg.get("radii")
     if radii is None:
-        radii = massmod.default_radii(float(mass_cfg.get("r0", 20.0)),
-                                      float(mass_cfg.get("ratio", 2.0)),
-                                      int(mass_cfg.get("count", 4)))
+        radii = massmod.default_radii(
+            _number(mass_cfg.get("r0", 20.0), "mass.r0"),
+            _number(mass_cfg.get("ratio", 2.0), "mass.ratio"),
+            _number(mass_cfg.get("count", 4), "mass.count", integer=True))
+    elif isinstance(radii, list):
+        radii = [_number(r, "mass.radii") for r in radii]
     return massmod._checked_radii(radii)
 
 
@@ -180,7 +201,8 @@ def _merge_flags(cfg, args):
 
 
 def _rule_from(cfg, n):
-    level = int(cfg.get("quad_level", massmod.default_level(n)))
+    level = _number(cfg.get("quad_level", massmod.default_level(n)),
+                    "quad_level", integer=True)
     if level < 2:
         raise ValueError("quad_level must be >= 2")
     return quadrature.sphere_rule(n, level)
@@ -193,7 +215,8 @@ def _flux_inputs(args):
     mass_cfg = cfg.get("mass", {})
     radii = _radii(mass_cfg)
     rule = _rule_from(cfg, g.n)
-    k = int(mass_cfg.get("k", cfg.get("metric", {}).get("k", 2)))
+    k = _number(mass_cfg.get("k", cfg.get("metric", {}).get("k", 2)), "k",
+                integer=True)
     return cfg, g, radii, rule, k
 
 
@@ -202,7 +225,8 @@ def cmd_mass(args):
     which = cfg.get("mass", {}).get("as")
     if which is None:
         which = {1: "adm", 2: "gbc"}.get(k, "mk")
-    alpha = float(cfg.get("alpha", cfg.get("metric", {}).get("alpha", 0.0)))
+    alpha = _number(cfg.get("alpha", cfg.get("metric", {}).get("alpha", 0.0)),
+                    "alpha")
     est = massmod.mass(which, g, radii, rule, k=k, alpha=alpha)
     doc = massmod.mass_estimate_dict(est)
     doc["metric"] = g.name
@@ -355,17 +379,17 @@ def cmd_verify(args):
 def cmd_penrose(args):
     cfg = _merge_flags(_load_config(args.config), args)
     mcfg = cfg.get("metric", {})
-    n = int(mcfg.get("n", 0))
+    n = _number(mcfg.get("n", 0), "metric.n", integer=True)
     if not 4 <= n <= _MAX_DIMENSION:
         return _fail(f"need metric.n in [4, {_MAX_DIMENSION}]")
-    f = _build_graph(mcfg)
+    f = _build_graph(mcfg, n)
     horizon = _build_horizon(cfg.get("horizon"), n)
     if horizon is None and f is not None:
         horizon = f.horizon
     if horizon is None:
         return _fail("penrose requires a horizon description")
     rule = _rule_from(cfg, n)
-    tol = float(cfg.get("tolerance", 2e-3))
+    tol = _number(cfg.get("tolerance", 2e-3), "tolerance", low=0.0)
     report = graphcase.penrose_report(f, horizon, rule=rule)
     doc = graphcase.penrose_report_dict(report)
     doc["n"] = n

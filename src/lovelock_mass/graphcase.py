@@ -372,12 +372,34 @@ class Ellipsoid:
         """Map unit-sphere directions onto the surface."""
         return np.atleast_2d(omega) * self.semiaxes[None, :]
 
+    def _gradient(self, omega):
+        """Dx = omega / a, half the gradient of sum x_i^2 / a_i^2 at
+        x = a omega, and its norm |Dx|."""
+        Dx = np.atleast_2d(omega) / self.semiaxes[None, :]
+        return Dx, np.linalg.norm(Dx, axis=-1)
+
     def area_element(self, omega):
         """Surface measure Jacobian relative to the parameter sphere."""
-        omega = np.atleast_2d(omega)
-        a = self.semiaxes
-        det = float(np.prod(a))
-        return det * np.linalg.norm(omega / a[None, :], axis=-1)
+        return float(np.prod(self.semiaxes)) * self._gradient(omega)[1]
+
+    def quermass_densities(self, omega, ks):
+        """e_k of the principal curvatures times the area element at
+        unit-sphere directions, one (N,) row per k in ks (k = 0 gives
+        the area element itself).
+
+        Closed form, with no shape operator and no eigensolve: the
+        principal curvatures are those of diag(alpha), alpha = a^-2,
+        compressed to the tangent space nu^perp and divided by |Dx|, so
+        e_k = sum_j Dx_j^2 e_k(alpha without alpha_j) / |Dx|^(k+2).
+        """
+        Dx, norm = self._gradient(omega)
+        J = float(np.prod(self.semiaxes)) * norm
+        alpha = self.semiaxes ** -2.0
+        minors = np.array([[elementary_symmetric(np.delete(alpha, j), k)
+                            for j in range(self.n)] for k in ks])
+        tangential = np.einsum('kj,xj->kx', minors, Dx * Dx)
+        return [J * (t / norm ** (k + 2)) if k else J
+                for t, k in zip(tangential, ks)]
 
     def _shape_operator(self, x):
         """Second fundamental form at batched surface points, as (B, n, n)
@@ -419,19 +441,22 @@ def hypersurface_data(source, at):
     raise TypeError(f"unsupported hypersurface source {type(source)!r}")
 
 
+def _rule_sum(rule, values):
+    """Weighted sum of node values, as a pairwise sum: a threaded BLAS dot
+    splits long sums by thread count and so changes their last bits."""
+    return float(np.sum(rule.weights * values))
+
+
 def surface_area(surface, rule):
     """Total surface measure via the mapped sphere rule."""
-    J = surface.area_element(rule.nodes)
-    return float(np.dot(rule.weights, J))
+    return _rule_sum(rule, surface.area_element(rule.nodes))
 
 
 def _quermass_integrals(surface, ks, rule):
     """Integrals of H_k over the surface for each k in ks (H_0 = 1 gives
-    the area), from one evaluation of the principal curvatures."""
-    lam = surface.principal_curvatures(surface.embed(rule.nodes))
-    J = surface.area_element(rule.nodes)
-    return [float(np.dot(rule.weights, J * elementary_symmetric(lam, k)))
-            for k in ks]
+    the area), from one closed-form pass over the rule's nodes."""
+    return [_rule_sum(rule, d)
+            for d in surface.quermass_densities(rule.nodes, ks)]
 
 
 def quermassintegral(surface, k, rule):

@@ -39,10 +39,16 @@ def test_rerun_bit_identical(tmp_path):
     # the same bytes; exit 2 (fit warning from the saturating model) is
     # fine here.  The sigma2 run covers the Weyl norm on index pairs, the
     # invariance run the planned pushforward einsums and the pair-matrix
-    # pullback, the penrose run the Gauss-equation graph curvature and the
-    # planned shape operator,
-    # the k = 3 run the wedge-power flux tensor, the EGB run the flux
-    # vector beside the first-order density.
+    # pullback, the penrose run the Gauss-equation graph curvature, the
+    # ellipsoid run horizon sums over 131 072 nodes (a threaded BLAS dot
+    # splits sums that long by thread count), the k = 3 run the
+    # wedge-power flux tensor, the EGB run the flux vector beside the
+    # first-order density.
+    ellipsoid = tmp_path / "ellipsoid.json"
+    ellipsoid.write_text(json.dumps({
+        "metric": {"family": "none", "n": 5},
+        "horizon": {"type": "ellipsoid", "semiaxes": [1.7, 0.9, 1.2, 1.95, 1.1]},
+        "quad_level": 16}))
     argvs = (["mass", "--metric", "schwarzschild", "--k", "2", "--n", "5",
               "--m", "1.0", "--quad-level", "2"],
              ["mass", "--metric", "egb", "--as", "egb", "--n", "6",
@@ -51,6 +57,7 @@ def test_rerun_bit_identical(tmp_path):
              ["verify", "--suite", "invariance", "--n", "5", "--seed", "1"],
              ["penrose", "--metric", "schwarzschild-graph", "--n", "5",
               "--m", "1.3", "--quad-level", "4"],
+             ["penrose", "--config", str(ellipsoid)],
              ["mass", "--metric", "schwarzschild", "--k", "3", "--n", "7",
               "--m", "1.0", "--quad-level", "2"])
     for argv in argvs:
@@ -280,15 +287,48 @@ def test_flux_order_checked_before_integrating(monkeypatch, capsys):
 
 
 def test_penrose_bound_violation_exit(tmp_path, capsys):
-    # a tightened (negative) tolerance flags the saturated round-sphere
-    # chain as a violation, exercising exit code 3
+    # the Gauss-Bonnet-corrected graph has L_2 < 0 in its bulk, so its
+    # second-order mass (about 0.0008) falls below the horizon bound of
+    # 0.25 by far more than the tolerance: exit code 3
     cfg = tmp_path / "p.json"
     cfg.write_text(json.dumps({
-        "metric": {"family": "none", "n": 5},
-        "horizon": {"type": "sphere", "radius": 1.0},
-        "quad_level": 3, "tolerance": -0.05}))
+        "metric": {"family": "egb-graph", "n": 5, "alpha": 0.05, "m": 0.65},
+        "quad_level": 3, "tolerance": 0.0}))
     code = run(["penrose", "--config", str(cfg)])
     assert code == 3
+    assert min(json.loads(capsys.readouterr().out)["slack"]) < -0.2
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("mass", {"metric": {"family": "euclidean", "n": [5]}},
+     "metric.n must be a number, got [5]"),
+    ("penrose", {"metric": {"family": "none", "n": 5},
+                 "horizon": {"type": "sphere", "radius": [1.0]}},
+     "horizon.radius must be a number, got [1.0]"),
+    ("mass", {"metric": {"family": "euclidean", "n": 5.7}},
+     "metric.n must be an integer, got 5.7"),
+    ("mass", {"metric": {"family": "schwarzschild", "n": 6, "k": 2.6}},
+     "metric.k must be an integer, got 2.6"),
+    ("mass", {"metric": {"family": "euclidean", "n": 5}, "quad_level": 2.9},
+     "quad_level must be an integer, got 2.9"),
+    ("mass", {"metric": {"family": "euclidean", "n": 5},
+              "mass": {"count": 4.8}},
+     "mass.count must be an integer, got 4.8"),
+    ("penrose", {"metric": {"family": "none", "n": 5},
+                 "horizon": {"type": "sphere", "radius": 1.0},
+                 "tolerance": -1},
+     "tolerance must be >= 0.0, got -1.0"),
+], ids=["n-list", "radius-list", "n-fraction", "k-fraction",
+        "level-fraction", "count-fraction", "tolerance-negative"])
+def test_config_numbers_checked(tmp_path, capsys, command, doc, message):
+    # a number of the wrong type or out of range is a plain error: never a
+    # traceback, and never truncated to a value the config did not name
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert not captured.out
 
 
 def test_thread_cap_validation(monkeypatch, capsys):

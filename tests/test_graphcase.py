@@ -299,17 +299,44 @@ def test_af_chain_is_the_quermassintegral_formulas_bit_for_bit():
     assert expected[0] == graphcase.horizon_boundary_term(None, E, rule)
 
 
+@pytest.mark.parametrize("level", [3, 6])
+def test_closed_form_quermass_matches_the_eigensolve(level):
+    # e_k of the eigvalsh principal curvatures, integrated with the area
+    # element, against the closed form: a sphere, two equal semiaxes and
+    # random ellipsoids in every dimension the CLI takes
+    rng = np.random.default_rng(level)
+    for n in range(4, 9):
+        rule = quadrature.sphere_rule(n, level)
+        ks = tuple(range(n))
+        for a in (np.full(n, 1.7),
+                  np.r_[1.3, 1.3, rng.uniform(0.6, 2.0, n - 2)],
+                  rng.uniform(0.6, 2.0, n)):
+            E = graphcase.Ellipsoid(a)
+            expected = np.zeros(n)
+            # in chunks: (N, n, n) shape operators for all 559 872 nodes
+            # of n = 8 at level 6 would take a gigabyte
+            for part in np.array_split(np.arange(len(rule.nodes)),
+                                       -(-len(rule.nodes) // 32768)):
+                om = rule.nodes[part]
+                lam = E.principal_curvatures(E.embed(om))
+                wJ = rule.weights[part] * E.area_element(om)
+                expected += [np.dot(wJ, graphcase.elementary_symmetric(lam, k))
+                             for k in ks]
+            got = graphcase._quermass_integrals(E, ks, rule)
+            assert got == pytest.approx(expected, rel=1e-13, abs=0), (n, a)
+
+
 def test_one_curvature_pass_per_report(monkeypatch):
     rule = quadrature.sphere_rule(5, 3)
     f = graphcase.schwarzschild_graph(5, 1.0)
     calls = []
-    orig = graphcase.Ellipsoid.principal_curvatures
+    orig = graphcase.Ellipsoid.quermass_densities
 
-    def counted(self, x):
-        calls.append(len(np.atleast_2d(x)))
-        return orig(self, x)
+    def counted(self, omega, ks):
+        calls.append(len(np.atleast_2d(omega)))
+        return orig(self, omega, ks)
 
-    monkeypatch.setattr(graphcase.Ellipsoid, "principal_curvatures", counted)
+    monkeypatch.setattr(graphcase.Ellipsoid, "quermass_densities", counted)
     rep = graphcase.penrose_report(f, f.horizon, rule=rule, radial_level=8)
     assert calls == [len(rule.nodes)]
     assert rep.boundary_term == graphcase.horizon_boundary_term(

@@ -91,8 +91,8 @@ def test_intrinsic_scalar_matches_gauss():
         u = x / np.linalg.norm(x, axis=-1, keepdims=True)
         return semi * u
 
-    a = oracles.parametric_surface_integrals(_Surf(ell, 5), "inducedR", 14, 28)
-    b = oracles.parametric_surface_integrals(_Surf(ell, 5), "H2", 14, 28)
+    a, b = oracles.parametric_surface_integrals(_Surf(ell, 5),
+                                                ("inducedR", "H2"), 14, 28)
     assert a == pytest.approx(2.0 * b, rel=1e-5)
 
 
