@@ -356,10 +356,11 @@ def cmd_verify(args):
         return _fail(f"unknown suite {suite!r}; available: "
                      f"{sorted(_SUITES)}")
     n = args.n if args.n is not None else cfg.get("n")
-    n = 5 if n is None else int(n)
+    n = 5 if n is None else _number(n, "n", integer=True)
     if not 4 <= n <= _MAX_DIMENSION:
         return _fail(f"n must be in [4, {_MAX_DIMENSION}]")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = _number(args.seed if args.seed is not None else cfg.get("seed", 0),
+                   "seed", integer=True)
     rng = np.random.default_rng(seed)
     checks = _SUITES[suite](n, rng)
     doc = {"suite": suite, "n": n, "seed": seed, "checks": []}

@@ -441,21 +441,15 @@ def hypersurface_data(source, at):
     raise TypeError(f"unsupported hypersurface source {type(source)!r}")
 
 
-def _rule_sum(rule, values):
-    """Weighted sum of node values, as a pairwise sum: a threaded BLAS dot
-    splits long sums by thread count and so changes their last bits."""
-    return float(np.sum(rule.weights * values))
-
-
 def surface_area(surface, rule):
     """Total surface measure via the mapped sphere rule."""
-    return _rule_sum(rule, surface.area_element(rule.nodes))
+    return quadrature.rule_sum(rule, surface.area_element(rule.nodes))
 
 
 def _quermass_integrals(surface, ks, rule):
     """Integrals of H_k over the surface for each k in ks (H_0 = 1 gives
     the area), from one closed-form pass over the rule's nodes."""
-    return [_rule_sum(rule, d)
+    return [quadrature.rule_sum(rule, d)
             for d in surface.quermass_densities(rule.nodes, ks)]
 
 

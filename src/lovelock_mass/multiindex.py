@@ -29,11 +29,20 @@ W_0 = 1 and eps the sign of the sorted set -> (pair, rest).  The slot
     sum_S sgn(S -> u K) sgn(S -> l L) W_q[K, L],   K = S - u, L = S - l,
 
 over the (2q + f)-subsets S that hold u and l.  For f = 0 there is one
-slot, the trace of W_q: L_k reads W_k on its diagonal.  A WedgeTable
-holds the plan of every W_q and this read-off, both built from one
-pattern over the positions of a sorted subset, mapped onto every subset
-of range(n) by array indexing; the last plan step builds only the
-entries of W_q that the read-off reads.
+slot, the trace of W_q: L_k reads W_k on its diagonal.
+
+From k = 3 on the tables serve the curvature operator of an
+orthonormal frame, a symmetric matrix, so every W_q is symmetric and so
+is every read-off: slot (l, u) sums the terms of slot (u, l) with K and
+L swapped.  Such a WedgeTable (frame set) reads only the K <= L half of
+W_q and of R, and sums only the slots with u <= l (as base-n numbers);
+the caller fills the other half of a slot matrix by symmetry.  Below
+k = 3 a table reads the coordinate operator R_I^J and all of W_q.  The
+plan builds, step by step, only the entries of W_p that the next step
+or the read-off reads; plan and read-off are built from one pattern
+over the positions of a sorted subset, mapped onto every subset of
+range(n) by array indexing.  grouped_runs orders the terms so that the
+slots of each term count form one run, summed by one reshape.
 """
 
 import itertools
@@ -49,6 +58,7 @@ __all__ = [
     "pair_rank",
     "pair_product",
     "unpair",
+    "grouped_runs",
     "WedgeTable",
     "lovelock_scalar_table",
     "p_tensor_table",
@@ -88,9 +98,22 @@ def pair_rank(n):
 def pair_product(A, B):
     """out[..., I, J] = A_i1j1 B_i2j2 - A_i1j2 B_i2j1 over the pairs
     I = (i1 < i2), J = (j1 < j2) of batched (..., n, n) matrices."""
-    i1, i2 = pairs(A.shape[-1])
-    a, b = i1[:, None], i2[:, None]
-    return A[..., a, i1] * B[..., b, i2] - A[..., a, i2] * B[..., b, i1]
+    n = A.shape[-1]
+    a1b1, a2b2, a1b2, a2b1 = _pair_entries(n)
+    A = A.reshape(A.shape[:-2] + (n * n,))
+    B = B.reshape(B.shape[:-2] + (n * n,))
+    out = np.take(A, a1b1, axis=-1) * np.take(B, a2b2, axis=-1)
+    out -= np.take(A, a1b2, axis=-1) * np.take(B, a2b1, axis=-1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _pair_entries(n):
+    """The flat entries (i1, j1), (i2, j2), (i1, j2), (i2, j1) of an (n, n)
+    matrix over the pairs I = (i1 < i2), J = (j1 < j2), each (C(n,2), C(n,2))."""
+    i1, i2 = pairs(n)
+    a, b = i1[:, None] * n, i2[:, None] * n
+    return a + i1, b + i2, a + i2, b + i1
 
 
 def unpair(P):
@@ -109,29 +132,33 @@ def unpair(P):
 class WedgeTable:
     """Wedge-power plan and read-off of one free-index curvature tensor.
 
-    R is the pair matrix R_I^J (CurvatureBundle.pair) over the pairs
-    of pairs(n), flattened over its (I, J) entries, I * C(n,2) + J.  W_p
-    is flattened the same way over its (K, L) entries, K and L the
-    sorted 2p-subsets, so W_0 = 1 and W_1 = R.  The table reads W_q, and
-    plan[p - 2] = (r_index, w_index, signs) builds W_p from W_{p-1}:
+    R is the curvature operator over the pairs of pairs(n): the
+    symmetric frame matrix R_AB (CurvatureBundle.frame_pair) when frame
+    is set, else the coordinate matrix R_I^J (CurvatureBundle.pair);
+    frame is set from k = 3 on.  R is flattened over its (I, J) entries,
+    I * C(n,2) + J, and W_p the same way over its (K, L) entries, K and
+    L the sorted 2p-subsets, so W_0 = 1 and W_1 = R.  With frame set
+    every index below reads an entry with K <= L (I <= J for R).  The
+    table reads W_q, and plan[p - 2] = (r_index, w_index, signs) builds
+    the entries of W_p that the next step reads, from R and W_{p-1}:
 
         W_p[:] = sum_t signs[t] * R[r_index[t]] * W_{p-1}[w_index[t]]
 
-    The last step keeps only the (K, L) entries that the read-off reads,
-    in the same order.  The read-off of W_q sums signs[T] *
-    W[index[T]] over each run of terms that starts at group_starts[G];
-    the run fills the slot group_index[G], its free upper then free
-    lower indices.
+    The read-off of W_q sums signs[T] * W[index[T]] over runs of terms:
+    runs holds (r0, r1, t0, t1), terms t0..t1-1 in r1 - r0 equal runs
+    that fill slot rows r0..r1-1, and row G is the slot group_index[G],
+    its free upper then free lower indices (upper <= lower with frame).
     """
 
     n: int
     k: int
     q: int
     constant: float
+    frame: bool
     plan: tuple
     signs: np.ndarray
     index: np.ndarray
-    group_starts: np.ndarray
+    runs: tuple
     group_index: np.ndarray
 
 
@@ -183,43 +210,93 @@ def _wedge_step(n, q):
     return r_index, w_index, np.outer(si, sj).ravel()
 
 
-def _readoff(n, q, f):
-    """(signs, index, group_starts, group_index) of the read-off of W_q
-    with f free index pairs.
+def grouped_runs(key):
+    """(order, runs, starts) of items grouped by equal key, for sums of
+    each group as one reshape per group size.
+
+    order sorts the items by the size of their group, then by key, keeping
+    the item order within a group; runs holds (r0, r1, t0, t1): items
+    order[t0:t1] form the groups r0..r1-1, all of the same size, one after
+    the other; the items of group G start at order[starts[G]].
+    """
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    group = np.cumsum(np.diff(sorted_key, prepend=sorted_key[:1]) != 0)
+    counts = np.bincount(group)
+    position = np.empty_like(counts)
+    position[np.argsort(counts, kind="stable")] = np.arange(len(counts))
+    order = order[np.argsort(position[group], kind="stable")]
+    counts = np.sort(counts)
+    ends = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+    bounds = np.flatnonzero(np.diff(counts, prepend=-1, append=-1))
+    runs = tuple((int(r0), int(r1), int(ends[r0]), int(ends[r1]))
+                 for r0, r1 in zip(bounds[:-1], bounds[1:]))
+    return order, runs, ends[:-1]
+
+
+def _fold(flat, size, frame):
+    """Flat entries K * size + L of a symmetric (size, size) matrix moved
+    to the K <= L half; unchanged without frame."""
+    if not frame:
+        return flat
+    K, L = np.divmod(flat, size)
+    return np.minimum(K, L) * size + np.maximum(K, L)
+
+
+def _readoff(n, q, f, frame):
+    """(signs, index, runs, group_index) of the read-off of W_q with f
+    free index pairs; with frame only on the slots (u, l) with u <= l.
 
     The slot (u, l) of f ascending upper and f ascending lower indices
     collects sgn(S -> u K) sgn(S -> l L) W_q[K, L] over the (2q + f)-subsets
-    S that hold u and l, with K = S - u and L = S - l.  Terms are sorted
-    by slot; within a slot they keep the subset order.
+    S that hold u and l, with K = S - u and L = S - l (read at K <= L with
+    frame).  Slots are sorted by their term count, then by (u, l); within
+    a slot terms keep the subset order.
     """
     sub = _subsets(n, 2 * q + f)
     heads, rests, signs = _splits(2 * q + f, f)
+    # heads ascend with position, so u <= l is head iu <= head il
     h = len(heads)
+    iu, il = np.triu_indices(h) if frame else np.indices((h, h)).reshape(2, -1)
     rank = _ranks(sub[:, rests], n)
-    index = (rank[:, :, None] * math.comb(n, 2 * q) + rank[:, None, :]).ravel()
+    index = _fold(rank[:, iu] * math.comb(n, 2 * q) + rank[:, il],
+                  math.comb(n, 2 * q), frame).ravel()
     up = sub[:, heads]
-    slots = np.concatenate([np.repeat(up, h, axis=1),
-                            np.tile(up, (1, h, 1))],
-                           axis=2).reshape(len(sub) * h * h, 2 * f)
-    key = slots @ n ** np.arange(2 * f - 1, -1, -1)
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    return (np.tile(np.outer(signs, signs).ravel(), len(sub))[order],
-            index[order], starts, slots[order][starts])
+    slots = np.concatenate([up[:, iu], up[:, il]],
+                           axis=2).reshape(len(sub) * len(iu), 2 * f)
+    order, runs, starts = grouped_runs(
+        slots @ n ** np.arange(2 * f - 1, -1, -1))
+    return (np.tile(np.outer(signs, signs)[iu, il], len(sub))[order],
+            index[order], runs, slots[order][starts])
 
 
 def _wedge_table(n, k, q, f, constant):
     """The read-off of W_q with f free index pairs and its plan (both
-    empty when 2q + f > n).  The last step builds only the entries of
-    W_q that the read-off reads; W_0 and W_1 need no step."""
-    plan = [_wedge_step(n, p) for p in range(2, q + 1) if 2 * q + f <= n]
-    signs, index, starts, slots = _readoff(n, q, f)
-    if plan:
-        used, index = np.unique(index, return_inverse=True)
-        r_index, w_index, step_signs = plan[-1]
-        plan[-1] = (r_index[:, used], w_index[:, used], step_signs)
-    return WedgeTable(n, k, q, constant, tuple(plan), signs, index,
-                      starts, slots)
+    empty when 2q + f > n).  Walking back from the read-off, each step
+    builds only the entries of W_p that its reader reads (K <= L with
+    frame); W_0 and W_1 need no step.
+
+    Below k = 3 the plan is empty or builds only the diagonal of W_2
+    (L_2), and E^(2) is on no mass path, so the frame would only add
+    its own cost: those tables read the coordinate operator.
+    """
+    frame = k >= 3
+    signs, index, runs, slots = _readoff(n, q, f, frame)
+    steps = [_wedge_step(n, p) for p in range(2, q + 1) if 2 * q + f <= n]
+    plan = []
+    reads = index
+    for p in range(len(steps) + 1, 1, -1):
+        r_index, w_index, step_signs = steps[p - 2]
+        used, inverse = np.unique(reads, return_inverse=True)
+        if plan:
+            plan[0] = (plan[0][0], inverse.reshape(reads.shape), plan[0][2])
+        else:
+            index = inverse.reshape(reads.shape)
+        reads = _fold(w_index[:, used], math.comb(n, 2 * p - 2), frame)
+        plan.insert(0, (_fold(r_index[:, used], math.comb(n, 2), frame),
+                        reads, step_signs))
+    return WedgeTable(n, k, q, constant, frame, tuple(plan), signs, index,
+                      runs, slots)
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +314,9 @@ def p_tensor_table(n, k):
 
     P^{stlm} = constant * C[s,t,a,b] g^{al} g^{bm} with C the read-off of
     W_{k-1} in the slots (s, t, a, b), s < t and a < b; C is
-    antisymmetric in (s, t) and in (a, b).
+    antisymmetric in (s, t) and in (a, b).  In the frame (k >= 3) g^-1 is
+    the unit matrix, C is symmetric under (s, t) <-> (a, b) and only the
+    slots with (s, t) <= (a, b) are read off.
     """
     return _wedge_table(n, k, k - 1, 2,
                         4.0 ** (k - 1) * math.factorial(k - 1) / 2.0 ** k)
@@ -248,6 +327,7 @@ def lovelock_einstein_table(n, k):
     """Wedge table for the divergence-free curvature 2-tensor of order k.
 
     E_{ij} = -(1/2^{k+1}) g_{li} D^l_j with D = constant * the read-off
-    of W_k in the slots (l, j).
+    of W_k in the slots (l, j).  In the frame (k >= 3) g is the unit
+    matrix, D is symmetric and only the slots with l <= j are read off.
     """
     return _wedge_table(n, k, k, 1, 4.0 ** k * math.factorial(k))

@@ -13,6 +13,9 @@ Comp. 23, 1969), polished by Newton steps on the orthonormal three-term
 recurrence; the weights are the Christoffel function 1 / sum_j p_j(t)^2
 of the orthonormal polynomials, which is accurate to a few ulp where
 the eigenvector weights of Golub-Welsch lose digits at the ends.
+
+Every rule is reduced by rule_sum, numpy's pairwise sum of weights times
+values, so no integral depends on the BLAS thread count.
 """
 
 import math
@@ -24,6 +27,7 @@ __all__ = [
     "SphereRule",
     "sphere_volume",
     "sphere_rule",
+    "rule_sum",
     "surface_integral",
     "ball_integral",
 ]
@@ -127,6 +131,12 @@ def _finite_values(F, r, rule):
     return vals
 
 
+def rule_sum(rule, values):
+    """Weighted sum of node values, as a pairwise sum: a threaded BLAS dot
+    splits long sums by thread count and so changes their last bits."""
+    return float(np.sum(rule.weights * values))
+
+
 def surface_integral(F, r, rule):
     """Integral of F over the coordinate sphere of radius r.
 
@@ -136,7 +146,7 @@ def surface_integral(F, r, rule):
     if r <= 0:
         raise ValueError("radius must be positive")
     vals = _finite_values(F, r, rule)
-    return float(r ** (rule.n - 1) * np.dot(rule.weights, vals))
+    return float(r ** (rule.n - 1) * rule_sum(rule, vals))
 
 
 def ball_integral(F, r_inner, r_outer, rule, radial_level=48):
@@ -159,5 +169,5 @@ def ball_integral(F, r_inner, r_outer, rule, radial_level=48):
     total = 0.0
     for rv, wv in zip(radii, rad_w):
         vals = _finite_values(F, rv, rule)
-        total += wv * rv ** (rule.n - 1) * float(np.dot(rule.weights, vals))
+        total += wv * rv ** (rule.n - 1) * rule_sum(rule, vals)
     return total

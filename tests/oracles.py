@@ -31,8 +31,9 @@ ascending block orderings, sharing only the permutation signs with the
 library.  The gather engine at the end is the library's former L_k,
 P_(k) and E^(k) engine, the reference for the wedge-power one:
 delta-contraction term tables, each term gathered factor by factor out
-of the rank-4 R_ab^cd (multiindex.unpair of the pair matrix) and
-summed per slot.
+of the rank-4 R_ab^cd (multiindex.unpair of mixed_pair, the
+coordinate curvature operator R_I^J raised here with inv(g), not with
+the library's frame) and summed per slot.
 """
 
 import dataclasses
@@ -47,7 +48,7 @@ import numpy as np
 import sympy as sp
 
 from lovelock_mass import graphcase, metrics
-from lovelock_mass.multiindex import relative_sign, unpair
+from lovelock_mass.multiindex import pair_product, relative_sign, unpair
 
 _MAX_BRUTE_ORDER = 5
 
@@ -383,50 +384,63 @@ def _elementary(lam, k):
     return out
 
 
-def _intrinsic_scalar(surface, omega, basis, h=2e-2, hg=2e-2):
+def _intrinsic_scalar(surface, omega, basis, h=2e-2, block=2048):
     """Scalar curvature of the induced metric, computed intrinsically.
 
     The chart metric G(u) is differentiated twice by stencils around
     u = 0; curvature then comes from the coordinate formula with plain
-    loops.  No use of the ambient second fundamental form.
+    loops.  No use of the ambient second fundamental form.  Every
+    stencil point is u = h * m for an integer vector m, and each is
+    embedded once per chart (the stencils of G and of its derivatives
+    share most of them), block directions at a time.
     """
     omega = np.atleast_2d(omega)
+    if len(omega) > block:
+        return np.concatenate([
+            _intrinsic_scalar(surface, omega[lo:lo + block],
+                              basis[lo:lo + block], h, block)
+            for lo in range(0, len(omega), block)])
     N, n = omega.shape
     d = n - 1
+    unit = np.eye(d, dtype=int)
+    points, metrics_at = {}, {}
 
-    def Gfun(u):
-        # tangents of X(u) = embed(c(u)) at the shifted parameter
-        T = np.zeros((N, d, n))
-        for a in range(d):
-            e = np.zeros(d)
-            e[a] = 1.0
-            for off, c in _D1_STENCIL:
-                T[:, a, :] += c * _chart_points(surface, omega, basis,
-                                                u + off * h * e)
-            T[:, a, :] /= h
-        return np.einsum('xai,xbi->xab', T, T)
+    def X(m):
+        key = tuple(m)
+        if key not in points:
+            points[key] = _chart_points(surface, omega, basis,
+                                        np.tile(h * m, (N, 1)))
+        return points[key]
 
-    zero = np.zeros((N, d))
+    def Gfun(m):
+        # tangents of X(u) = embed(c(u)) at u = h * m
+        key = tuple(m)
+        if key not in metrics_at:
+            T = np.zeros((N, d, n))
+            for a in range(d):
+                for off, c in _D1_STENCIL:
+                    T[:, a, :] += c * X(m + off * unit[a])
+                T[:, a, :] /= h
+            metrics_at[key] = np.einsum('xai,xbi->xab', T, T)
+        return metrics_at[key]
+
+    zero = np.zeros(d, dtype=int)
     G = Gfun(zero)
     dG = np.zeros((N, d, d, d))  # [..., c] = d_c G_ab
     d2G = np.zeros((N, d, d, d, d))
     for c in range(d):
-        e = np.zeros(d)
-        e[c] = 1.0
         for off, cf in _D1_STENCIL:
-            dG[..., c] += cf * Gfun(zero + off * hg * e)
-        dG[..., c] /= hg
+            dG[..., c] += cf * Gfun(off * unit[c])
+        dG[..., c] /= h
         for off, cf in _D2_STENCIL:
-            d2G[..., c, c] += cf * Gfun(zero + off * hg * e)
-        d2G[..., c, c] /= hg ** 2
+            d2G[..., c, c] += cf * Gfun(off * unit[c])
+        d2G[..., c, c] /= h ** 2
         for cc in range(c + 1, d):
-            e2 = np.zeros(d)
-            e2[cc] = 1.0
             acc = np.zeros((N, d, d))
             for o1, c1 in _D1_STENCIL:
                 for o2, c2 in _D1_STENCIL:
-                    acc += c1 * c2 * Gfun(zero + (o1 * e + o2 * e2) * hg)
-            acc /= hg ** 2
+                    acc += c1 * c2 * Gfun(o1 * unit[c] + o2 * unit[cc])
+            acc /= h ** 2
             d2G[..., c, cc] = acc
             d2G[..., cc, c] = acc
     Ginv = np.linalg.inv(G)
@@ -985,9 +999,16 @@ def slot_sums(table, rmix):
     return out
 
 
+def mixed_pair(bund):
+    """R_I^J = R_IE (Lambda^2 g^-1)_EJ on the pairs of a curvature bundle,
+    g^-1 = inv(g): the curvature operator in coordinates."""
+    ginv = np.linalg.inv(bund.g)
+    return bund.pair_lo @ pair_product(ginv, ginv)
+
+
 def gather_p_tensor(table, bund):
     """P_(k)^{stlm} from a gather table of C with s < t slots."""
-    C = slot_sums(table, unpair(bund.pair))
+    C = slot_sums(table, unpair(mixed_pair(bund)))
     C = C - C.transpose(0, 2, 1, 3, 4)
     return table.constant * np.einsum('xstab,xal,xbm->xstlm', C, bund.ginv,
                                       bund.ginv)
@@ -995,5 +1016,5 @@ def gather_p_tensor(table, bund):
 
 def gather_einstein(table, bund):
     """E^(k)_ij from a gather table of D."""
-    D = table.constant * slot_sums(table, unpair(bund.pair))
+    D = table.constant * slot_sums(table, unpair(mixed_pair(bund)))
     return -(1.0 / 2.0 ** (table.k + 1)) * np.einsum('xli,xlj->xij', bund.g, D)

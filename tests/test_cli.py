@@ -43,7 +43,7 @@ def test_rerun_bit_identical(tmp_path):
     # ellipsoid run horizon sums over 131 072 nodes (a threaded BLAS dot
     # splits sums that long by thread count), the k = 3 run the
     # wedge-power flux tensor, the EGB run the flux vector beside the
-    # first-order density.
+    # first-order density, and the last one the sphere rule's own sum.
     ellipsoid = tmp_path / "ellipsoid.json"
     ellipsoid.write_text(json.dumps({
         "metric": {"family": "none", "n": 5},
@@ -73,6 +73,19 @@ def test_rerun_bit_identical(tmp_path):
             assert proc.returncode in (0, 2), proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1], argv
+    # a sphere of 15 552 nodes (n = 6 at the default level 6): a threaded
+    # BLAS dot over that many node values depends on the thread count
+    script = ("from lovelock_mass import mass, metrics, quadrature; "
+              "print(repr(mass.flux('gbc', metrics.schwarzschild_family("
+              "2, 6, 1.0), 20.0, quadrature.sphere_rule(6, 6))))")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_flux_csv_header(tmp_path):
@@ -176,6 +189,38 @@ def test_verify_dimension_zero_rejected(tmp_path, capsys):
     assert run(["verify", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert "error: n must be in [4, 8]" in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 5.7, "n must be an integer, got 5.7"),
+    ("n", [5], "n must be a number, got [5]"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", "3", "seed must be a number, got '3'"),
+])
+def test_verify_config_numbers_checked(tmp_path, capsys, key, value, message):
+    # a fractional n once ran at int(n) and exited 0, a list ended in a
+    # traceback; both are plain errors now, as in mass, flux and penrose
+    cfg = tmp_path / "v.json"
+    cfg.write_text(json.dumps({"suite": "hypersurface", key: value}))
+    assert run(["verify", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert not captured.out
+
+
+def test_metric_not_positive_definite_is_an_error(tmp_path, capsys):
+    # e^(-2 r^2) underflows to 0 on every sphere of the default radii, so
+    # g is degenerate at every node: riemann's Cholesky factorization
+    # fails and names the metric and the first such point
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({
+        "metric": {"family": "conformal-radial", "n": 6, "u": "r**2"},
+        "quad_level": 2}))
+    assert run(["mass", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error: conformal-radial: metric is not positive definite at x = [")
     assert not captured.out
 
 

@@ -36,6 +36,24 @@ def test_flat_bundle_vanishes():
     assert not curvature.lovelock_einstein(2, g, x).any()
 
 
+def test_metric_not_positive_definite_raises_domain_error():
+    # g = delta + b x x^T with 1 + b r^2 = (81 - r^4) / (81 + r^4) is
+    # invertible everywhere but indefinite outside r = 3: the Cholesky
+    # factorization of riemann names the first point where it fails, and
+    # no curvature comes back
+    n = 5
+    g = metrics.radial_metric(n, metrics.RadialProfile("1 + 0*r"),
+                              metrics.RadialProfile("-2*r**2/(r**4 + 81)"),
+                              tau=1.0, name="indefinite")
+    pts = np.zeros((4, n))
+    pts[:, 0] = [1.0, 2.0, 4.0, 5.0]
+    with pytest.raises(metrics.DomainError,
+                       match=r"indefinite: metric is not positive definite "
+                             r"at x = \[4\.0, 0\.0, 0\.0, 0\.0, 0\.0\]"):
+        curvature.riemann(g, pts)
+    assert curvature.riemann(g, pts[:2]).frame.shape == (2, n, n)
+
+
 def test_graph_christoffel_closed_form():
     # Gamma^k_ij = f_ij f_k / (1 + |grad f|^2)
     f = _bump_graph()
@@ -364,6 +382,40 @@ def test_pair_is_riemann_mix_on_pairs():
             assert bund.pair.shape == (len(pts), len(i1), len(i1))
             assert np.abs(bund.pair - ref).max() <= 1e-13 * np.abs(ref).max(), \
                 (n, g.name)
+
+
+def test_frame_pair_is_riemann_in_the_frame():
+    # R_AB from R_ijkl and the second exterior power of the frame, against
+    # R_ijkl contracted with the frame vectors index by index; it is
+    # symmetric, and its powers have the traces of the coordinate
+    # operator R_I^J
+    rng = np.random.default_rng(44)
+    for n in (5, 6, 7, 8):
+        i1, i2 = np.triu_indices(n, 1)
+        pts = _shell_points(rng, n, 12, 2.5, 9.0)
+        for g in _flux_families(n, rng)[:-1]:
+            bund = curvature.riemann(g, pts)
+            E = bund.frame
+            assert np.abs(E @ bund.g @ E.swapaxes(1, 2) - np.eye(n)).max() \
+                <= 1e-14, (n, g.name)
+            assert np.abs(bund.ginv - np.linalg.inv(bund.g)).max() \
+                <= 1e-13 * np.abs(bund.ginv).max(), (n, g.name)
+            rf = np.einsum('xijkl,xai,xbj,xck,xdl->xabcd',
+                           unpair(bund.pair_lo), E, E, E, E, optimize=True)
+            ref = rf[:, i1[:, None], i2[:, None], i1[None, :], i2[None, :]]
+            pair = bund.frame_pair
+            assert pair.shape == (len(pts), len(i1), len(i1))
+            assert np.abs(pair - ref).max() <= 1e-13 * np.abs(ref).max(), \
+                (n, g.name)
+            assert np.abs(pair - pair.swapaxes(1, 2)).max() \
+                <= 1e-14 * np.abs(ref).max(), (n, g.name)
+            mixed = bund.pair
+            for p in (1, 2):
+                tr = np.trace(np.linalg.matrix_power(pair, p), axis1=1, axis2=2)
+                trm = np.trace(np.linalg.matrix_power(mixed, p), axis1=1,
+                               axis2=2)
+                scale = len(i1) * np.abs(ref).max() ** p
+                assert np.abs(tr - trm).max() <= 1e-13 * scale, (n, g.name)
 
 
 def test_ricci_and_scalar_match_rank4_contraction():

@@ -1,4 +1,5 @@
 import itertools
+import types
 import warnings
 
 import numpy as np
@@ -98,7 +99,7 @@ def test_term_tables_match_reference_builders():
             g, x, bund = _bump_bundle(n, 4, n)
             L = curvature.lovelock_L(k, g, x, bund=bund)
             L_ref = ref.constant * oracles.gathered_products(
-                ref, mi.unpair(bund.pair)).sum(axis=1)
+                ref, mi.unpair(oracles.mixed_pair(bund))).sum(axis=1)
             assert np.abs(L - L_ref).max() <= 1e-12 * np.abs(L_ref).max(), (n, k)
             _assert_engine_matches(n, k, oracles.p_tensor_table(n, k),
                                    oracles.lovelock_einstein_table(n, k),
@@ -127,6 +128,52 @@ def test_wedge_plan_starts_from_the_curvature_operator():
                 assert table.q == q
                 steps = max(q - 1, 0) if 2 * q + f <= n else 0
                 assert len(table.plan) == steps, (n, k, f)
+
+
+def test_folded_readoffs_match_unfolded_on_symmetric_operators():
+    # on a random symmetric operator R (a frame's curvature operator) the
+    # read-offs of L_k, E^(k) and P_(k) equal the gather engine's, which
+    # reads every term of the rank-4 R_ab^cd: from k = 3 on the tables
+    # build only the K <= L half of W_q and sum only the u <= l slots
+    from lovelock_mass import curvature
+
+    rng = np.random.default_rng(60)
+    for n in range(5, 9):
+        i1, i2 = mi.pairs(n)
+        A = rng.normal(size=(3, len(i1), len(i1)))
+        R = A + A.swapaxes(1, 2)
+        bund = types.SimpleNamespace(g=np.zeros((3, n, n)), pair=R,
+                                     frame_pair=R)
+        rmix = mi.unpair(R)
+        for k in range(1, n // 2 + 1):
+            table = mi.lovelock_scalar_table(n, k)
+            assert table.frame == (k >= 3)
+            L = curvature._wedge_sums(table, bund)[0]
+            ref = oracles.gathered_products(
+                oracles.delta_table(n, k, k, 0, 1.0), rmix).sum(axis=1)
+            assert np.abs(L - ref).max() <= 1e-13 * np.abs(ref).max(), (n, k)
+            C = curvature._slot_matrix(mi.p_tensor_table(n, k), bund)
+            ref = oracles.slot_sums(oracles.gather_p_table(n, k), rmix)
+            ref = ref[:, i1[:, None], i2[:, None], i1, i2]
+            assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max(), (n, k)
+            if 2 * k < n:
+                D = curvature._slot_matrix(mi.lovelock_einstein_table(n, k),
+                                           bund)
+                ref = oracles.slot_sums(oracles.gather_einstein_table(n, k),
+                                        rmix)
+                assert np.abs(D - ref).max() <= 1e-13 * np.abs(ref).max(), \
+                    (n, k)
+
+
+def test_frame_tables_read_half_of_the_wedge_power():
+    # P_(3) at n = 8: 1 890 of the 3 710 entries of W_2 that the full
+    # read-off reads, and 3 360 of its C(8, 6) * 15^2 = 6 300 terms; P_(2)
+    # reads all of R_I^J
+    table = mi.p_tensor_table(8, 3)
+    assert table.frame and table.plan[-1][0].shape[1] == 1890
+    assert len(table.signs) == 3360
+    table = mi.p_tensor_table(6, 2)
+    assert not table.frame and not table.plan and len(table.signs) == 540
 
 
 def test_pair_product_and_unpair():
